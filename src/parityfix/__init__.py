@@ -32,6 +32,7 @@ from .game import (
     Player,
     SinkVertexError,
     Solution,
+    SolveTimeoutError,
     SortPermutation,
     ValidationError,
     apply_backward,
@@ -54,7 +55,6 @@ from .solver import (
     SolverHooks,
     SolverOptions,
     SolverStats,
-    SolveTimeoutError,
     onestep,
     solve,
     solve_basic,

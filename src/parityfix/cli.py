@@ -9,20 +9,18 @@ from __future__ import annotations
 
 import argparse
 import csv
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-from .fixpoint import FixpointTimeoutError, bfl_win0
+from .fixpoint import bfl_win0
 from .formats import ParseError, parse_pgsolver, parse_solution, write_pgsolver, write_solution
-from .game import ParityGame, Player, Solution, ValidationError, game_stats
+from .game import ParityGame, Player, Solution, SolveTimeoutError, ValidationError, game_stats
 from .generator import GenParams, InvalidParamsError, random_game
 from .preprocess import apply_preprocessing, compose_solution
-from .solver import SolverOptions, SolverStats, SolveTimeoutError, solve_detailed
+from .solver import SolverOptions, SolverStats, solve_detailed
 from .verifier import verify
-from .zielonka import ZielonkaTimeoutError, solve_zielonka
+from .zielonka import solve_zielonka
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -47,18 +45,10 @@ def _read_game(path: str) -> ParityGame:
     return parse_pgsolver(text)
 
 
-def _default_workers() -> int:
-    try:
-        return max(1, int(os.environ.get("DFI_WORKERS", "1")))
-    except ValueError:
-        return 1
-
-
 def _run_solver(
     residual: ParityGame,
     solver: str,
     *,
-    workers: int = 1,
     in_place: bool = False,
     timeout_s: float | None = None,
 ) -> tuple[Solution, SolverStats | None]:
@@ -66,7 +56,6 @@ def _run_solver(
         options = SolverOptions(
             mode="freezing" if solver == "dfi" else "basic",
             pass_semantics="in_place" if in_place else "snapshot",
-            workers=1 if in_place else workers,
             timeout_s=timeout_s,
         )
         outcome = solve_detailed(residual, options)
@@ -85,7 +74,6 @@ def _solve_game(
     solver: str,
     *,
     preprocess: bool,
-    workers: int = 1,
     in_place: bool = False,
     timeout_s: float | None = None,
 ) -> tuple[Solution, SolverStats | None]:
@@ -93,27 +81,20 @@ def _solve_game(
         partials, residual = apply_preprocessing(game)
     else:
         partials, residual = [], game
-    solution, stats = _run_solver(
-        residual, solver, workers=workers, in_place=in_place, timeout_s=timeout_s
-    )
+    solution, stats = _run_solver(residual, solver, in_place=in_place, timeout_s=timeout_s)
     return compose_solution(partials, solution), stats
 
 
 def _cmd_solve(args) -> int:
     if args.verify and args.solver in REGION_ONLY_SOLVERS:
         raise _UsageError(f"--verify needs strategies; solver {args.solver!r} emits regions only")
-    workers = args.workers if args.workers is not None else _default_workers()
     try:
         game = _read_game(args.game)
     except (OSError, ParseError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     solution, stats = _solve_game(
-        game,
-        args.solver,
-        preprocess=not args.no_preprocess,
-        workers=workers,
-        in_place=args.in_place,
+        game, args.solver, preprocess=not args.no_preprocess, in_place=args.in_place
     )
     if args.verify:
         report = verify(game, solution)
@@ -206,7 +187,7 @@ _BENCH_COLUMNS = [
 ]
 
 
-def _bench_row(path: Path, solver: str, preprocess: bool, timeout_s: float, reps: int, workers: int):
+def _bench_row(path: Path, solver: str, preprocess: bool, timeout_s: float, reps: int):
     name = path.name
     pre = "1" if preprocess else "0"
     try:
@@ -220,10 +201,8 @@ def _bench_row(path: Path, solver: str, preprocess: bool, timeout_s: float, reps
     for _ in range(reps):
         t0 = time.perf_counter()
         try:
-            _, stats = _solve_game(
-                game, solver, preprocess=preprocess, workers=workers, timeout_s=timeout_s
-            )
-        except (SolveTimeoutError, ZielonkaTimeoutError, FixpointTimeoutError):
+            _, stats = _solve_game(game, solver, preprocess=preprocess, timeout_s=timeout_s)
+        except SolveTimeoutError:
             return [name, solver, pre, f"{timeout_s:.6f}", "timeout", *size, "", "", "", ""]
         except Exception:  # includes RecursionDepthError and FixpointBudgetError
             return [name, solver, pre, "", "error", *size, "", "", "", ""]
@@ -245,28 +224,13 @@ def _cmd_bench(args) -> int:
     for s in solvers:
         if s not in SOLVERS:
             raise _UsageError(f"unknown solver {s!r}")
-    workers = args.workers if args.workers is not None else _default_workers()
     files = sorted(p for p in directory.iterdir() if p.is_file())
-    jobs = [
-        (path, solver, preprocess)
-        for path in files
-        for solver in solvers
-        for preprocess in (True, False)
-    ]
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(_BENCH_COLUMNS)
-
-    def runner(job):
-        path, solver, preprocess = job
-        return _bench_row(path, solver, preprocess, args.timeout, args.repetitions, workers)
-
-    if args.parallel_games > 1 and jobs:
-        with ThreadPoolExecutor(max_workers=args.parallel_games) as pool:
-            rows = list(pool.map(runner, jobs))
-    else:
-        rows = [runner(job) for job in jobs]
-    for row in rows:
-        writer.writerow(row)
+    for path in files:
+        for solver in solvers:
+            for preprocess in (True, False):
+                writer.writerow(_bench_row(path, solver, preprocess, args.timeout, args.repetitions))
     return EXIT_OK
 
 
@@ -280,7 +244,6 @@ def build_parser() -> _Parser:
     p_solve.add_argument("--no-preprocess", action="store_true")
     p_solve.add_argument("--verify", action="store_true", help="check the solution before writing")
     p_solve.add_argument("-o", "--output")
-    p_solve.add_argument("--workers", type=int, default=None, help="dfi only; default $DFI_WORKERS or 1")
     p_solve.add_argument("--in-place", action="store_true", help="dfi only; sequential pass updates")
     p_solve.add_argument("--stats", action="store_true", help="print solver counters to stderr")
     p_solve.set_defaults(func=_cmd_solve)
@@ -304,8 +267,6 @@ def build_parser() -> _Parser:
     p_bench.add_argument("--solvers", default="dfi")
     p_bench.add_argument("--timeout", type=float, default=1800.0)
     p_bench.add_argument("--repetitions", type=int, default=5)
-    p_bench.add_argument("--parallel-games", type=int, default=1)
-    p_bench.add_argument("--workers", type=int, default=None)
     p_bench.set_defaults(func=_cmd_bench)
 
     p_stats = sub.add_parser("stats", help="print size counters for a game")

@@ -15,7 +15,7 @@ import time
 from dataclasses import dataclass, field
 from typing import FrozenSet
 
-from .game import ParityGame, Player
+from .game import ParityGame, Player, SolveTimeoutError
 
 VertexSet = FrozenSet[int]
 
@@ -26,10 +26,6 @@ class FixpointBudgetError(Exception):
     def __init__(self, iterations: int):
         self.iterations = iterations
         super().__init__(f"fixpoint evaluation exceeded {iterations} body evaluations")
-
-
-class FixpointTimeoutError(Exception):
-    pass
 
 
 def universe(game: ParityGame) -> VertexSet:
@@ -132,7 +128,7 @@ def bfl_win0(
         if evals > budget:
             raise FixpointBudgetError(budget)
         if deadline is not None and evals % 256 == 0 and time.perf_counter() > deadline:
-            raise FixpointTimeoutError("fixpoint evaluation timed out")
+            raise SolveTimeoutError("fixpoint evaluation timed out")
         if trace is not None:
             trace.body_evaluations = evals
         good = set()

@@ -38,6 +38,10 @@ class ValidationError(Exception):
     """A parity game invariant does not hold."""
 
 
+class SolveTimeoutError(Exception):
+    """A solver's cooperative deadline passed before it finished."""
+
+
 class SinkVertexError(ValidationError):
     def __init__(self, vertex: int):
         self.vertex = vertex

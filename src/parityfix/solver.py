@@ -14,44 +14,37 @@ recorded for them, which is exactly what makes the recorded one-step
 choices a correct winning strategy by the end of the run.
 
 Two pass semantics exist.  ``snapshot`` evaluates a whole level against
-the flag state from the start of the pass; it is the canonical mode and is
-bit-deterministic for any worker count, since evaluations are independent.
-``in_place`` publishes flag updates mid-pass and is single threaded.  Both
-converge to the same regions.
+the flag state from the start of the pass; it is the canonical mode.
+``in_place`` publishes flag updates mid-pass.  Both converge to the same
+regions.
 
 Engines: a scalar engine (plain Python, used for small games and whenever
 instrumentation hooks are attached) and a vectorized engine (numpy over a
-CSR edge layout, used for large games).  Both implement identical
-semantics, including strategy tie-breaking on the first winning successor
-in stored order, and produce identical results.
+CSR edge layout, used for large games).  The vector engine implements
+freezing mode with snapshot passes, including strategy tie-breaking on the
+first winning successor in stored order, and produces results identical to
+the scalar engine's.  Basic mode, the region-only reference of the
+algorithm, runs on the scalar engine only.
 """
 
 from __future__ import annotations
 
 import time
 from array import array
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
 
-from .game import ParityGame, Player, Solution, SortPermutation, sort_by_priority
+from .game import ParityGame, Player, Solution, SolveTimeoutError, SortPermutation, sort_by_priority
 
 _SCALAR_LIMIT = 1024
-_POOL_MIN_WORK = 4096  # below this many eligible vertices, thread dispatch costs more than it saves
-
-
-class SolveTimeoutError(Exception):
-    """Cooperative deadline hit between solver passes."""
 
 
 @dataclass(frozen=True)
 class SolverOptions:
     mode: Literal["basic", "freezing"] = "freezing"
     pass_semantics: Literal["snapshot", "in_place"] = "snapshot"
-    workers: int = 1
-    collect_counters: bool = True
     timeout_s: float | None = None
 
     def __post_init__(self):
@@ -59,10 +52,6 @@ class SolverOptions:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.pass_semantics not in ("snapshot", "in_place"):
             raise ValueError(f"unknown pass semantics {self.pass_semantics!r}")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
-        if self.pass_semantics == "in_place" and self.workers > 1:
-            raise ValueError("in_place passes are single threaded")
         if self.mode == "basic" and self.pass_semantics == "in_place":
             raise ValueError("basic mode always evaluates against a pass snapshot")
 
@@ -312,71 +301,7 @@ def _eval_indices(indptr, targets, edge_owner, owner_bits, win, gidx):
     return stratvals, osbit
 
 
-def _eval_range(indptr, targets, edge_owner, owner_bits, win, rlo, rhi):
-    """Contiguous-range variant of _eval_indices (cheaper edge gather)."""
-    e0 = int(indptr[rlo])
-    e1 = int(indptr[rhi])
-    tg = targets[e0:e1]
-    good = win[tg] == edge_owner[e0:e1]
-    hits = np.flatnonzero(good)
-    starts = indptr[rlo:rhi] - e0
-    fh = np.searchsorted(hits, starts, side="left")
-    eh = np.empty_like(fh)
-    if len(eh):
-        eh[:-1] = fh[1:]
-        eh[-1] = len(hits)
-    has = fh < eh
-    if len(hits):
-        first = tg[hits[np.minimum(fh, len(hits) - 1)]]
-        stratvals = np.where(has, first, np.int32(-1))
-    else:
-        stratvals = np.full(rhi - rlo, -1, dtype=np.int32)
-    ob = owner_bits[rlo:rhi]
-    osbit = np.where(has, ob, 1 - ob).astype(np.uint8)
-    return stratvals, osbit
-
-
-def _split_indices(gidx, k):
-    if k <= 1 or len(gidx) < 2 * k:
-        return [gidx]
-    return np.array_split(gidx, k)
-
-
-def _basic_vector(game, opts, deadline, stats) -> np.ndarray:
-    n = game.n
-    indptr, targets, edge_owner = game._csr
-    par = game._parity_bits
-    owner_bits = np.fromiter(game._owner_ints, dtype=np.uint8, count=n)
-    z = np.zeros(n, dtype=np.uint8)
-    stats.state_bytes = z.nbytes
-    win = par.copy()  # kept equal to par ^ z at every pass boundary
-    levels = game.levels
-    li = 0
-    while li < len(levels):
-        _check_deadline(deadline)
-        stats.passes += 1
-        p, lo, hi = levels[li]
-        alpha = p & 1
-        gidx = lo + np.flatnonzero(z[lo:hi] == 0)
-        if len(gidx) == 0:
-            li += 1
-            continue
-        _, osbit = _eval_indices(indptr, targets, edge_owner, owner_bits, win, gidx)
-        add = gidx[osbit != alpha]
-        if len(add):
-            z[add] = 1
-            win[add] = 1 - alpha
-            stats.additions += len(add)
-            stats.resets += 1
-            z[:lo] = 0
-            win[:lo] = par[:lo]
-            li = 0
-        else:
-            li += 1
-    return z
-
-
-def _freezing_vector(game, opts, deadline, stats, pool):
+def _freezing_vector(game, deadline, stats):
     n = game.n
     indptr, targets, edge_owner = game._csr
     par = game._parity_bits
@@ -389,7 +314,6 @@ def _freezing_vector(game, opts, deadline, stats, pool):
     stats.state_bytes = flags.nbytes + strat.nbytes
     win = par.copy()  # kept equal to par ^ zbit at every pass boundary
     levels = game.levels
-    workers = opts.workers
     frozen_at: dict[int, int] = {}  # freeze level -> live count, to skip no-op thaws
     li = 0
     while li < len(levels):
@@ -397,40 +321,16 @@ def _freezing_vector(game, opts, deadline, stats, pool):
         stats.passes += 1
         p, lo, hi = levels[li]
         alpha = p & 1
-        lvl = flags[lo:hi]
-        span = hi - lo
-        full = int(np.count_nonzero(lvl)) == 0
-        if full:
-            gidx = np.arange(lo, hi, dtype=np.int64)
-        else:
-            gidx = lo + np.flatnonzero(lvl == 0)
+        gidx = lo + np.flatnonzero(flags[lo:hi] == 0)
         added = 0
         if len(gidx):
-            chunks = _split_indices(gidx, workers)
-            if pool is not None and len(chunks) > 1 and len(gidx) >= _POOL_MIN_WORK:
-                # same chunk boundaries as the sequential branch; every chunk
-                # reads the one pass-start snapshot, so scheduling is moot
-                results = list(
-                    pool.map(
-                        lambda c: _eval_indices(indptr, targets, edge_owner, owner_bits, win, c),
-                        chunks,
-                    )
-                )
-            elif full and len(chunks) == 1:
-                results = [_eval_range(indptr, targets, edge_owner, owner_bits, win, lo, hi)]
-            else:
-                results = [
-                    _eval_indices(indptr, targets, edge_owner, owner_bits, win, c)
-                    for c in chunks
-                ]
-            for chunk, (stratvals, osbit) in zip(chunks, results):
-                strat[chunk] = stratvals
-                add = chunk[osbit != alpha]
-                if len(add):
-                    flags[add] |= zmask
-                    win[add] = 1 - alpha
-                    added += len(add)
+            stratvals, osbit = _eval_indices(indptr, targets, edge_owner, owner_bits, win, gidx)
+            strat[gidx] = stratvals
+            add = gidx[osbit != alpha]
+            added = len(add)
         if added:
+            flags[add] |= zmask
+            win[add] = 1 - alpha
             stats.additions += added
             stats.resets += 1
             low = flags[:lo]
@@ -471,6 +371,10 @@ def _pick_engine(engine: str, game: ParityGame, options: SolverOptions, hooks) -
         if engine == "vector":
             raise ValueError("in_place passes require the scalar engine")
         return "scalar"
+    if options.mode == "basic":
+        if engine == "vector":
+            raise ValueError("basic mode requires the scalar engine")
+        return "scalar"
     if engine == "auto":
         return "scalar" if game.n <= _SCALAR_LIMIT else "vector"
     return engine
@@ -497,20 +401,11 @@ def solve_detailed(
 
     st = None
     if opts.mode == "basic":
-        if eng == "scalar":
-            z = _basic_scalar(sorted_game, hooks, deadline, stats)
-        else:
-            z = _basic_vector(sorted_game, opts, deadline, stats)
+        z = _basic_scalar(sorted_game, hooks, deadline, stats)
+    elif eng == "scalar":
+        z, st = _freezing_scalar(sorted_game, opts, hooks, deadline, stats)
     else:
-        if eng == "scalar":
-            z, st = _freezing_scalar(sorted_game, opts, hooks, deadline, stats)
-        else:
-            pool = ThreadPoolExecutor(max_workers=opts.workers) if opts.workers > 1 else None
-            try:
-                z, st = _freezing_vector(sorted_game, opts, deadline, stats, pool)
-            finally:
-                if pool is not None:
-                    pool.shutdown(wait=True)
+        z, st = _freezing_vector(sorted_game, deadline, stats)
     stats.wall_time_s = time.perf_counter() - t0
 
     par = sorted_game._parity_ints

@@ -11,7 +11,7 @@ from __future__ import annotations
 import time
 from typing import Generator
 
-from .game import ParityGame, Player, Solution
+from .game import ParityGame, Player, Solution, SolveTimeoutError
 from .graphs import attract
 
 
@@ -19,10 +19,6 @@ class RecursionDepthError(Exception):
     def __init__(self, limit: int):
         self.limit = limit
         super().__init__(f"subgame recursion exceeded depth {limit}")
-
-
-class ZielonkaTimeoutError(Exception):
-    pass
 
 
 _Result = tuple[set[int], set[int], dict[int, int], dict[int, int]]
@@ -98,7 +94,7 @@ def solve_zielonka(
     result: _Result = (set(), set(), {}, {})
     while stack:
         if deadline is not None and time.perf_counter() > deadline:
-            raise ZielonkaTimeoutError("solver deadline exceeded")
+            raise SolveTimeoutError("solver deadline exceeded")
         try:
             if sent is None:
                 request = next(stack[-1])

@@ -59,10 +59,6 @@ class TestSolveCommand:
         without = capsys.readouterr().out
         assert with_pre == without
 
-    def test_workers_env_default(self, g1_path, capsys, monkeypatch):
-        monkeypatch.setenv("DFI_WORKERS", "2")
-        assert main(["solve", str(g1_path), "--verify"]) == 0
-
     def test_in_place(self, g1_path, capsys):
         assert main(["solve", str(g1_path), "--in-place", "--verify"]) == 0
 
@@ -167,14 +163,6 @@ class TestBenchCommand:
         outcomes = {l.split(",")[0]: l.split(",")[4] for l in lines[1:]}
         assert outcomes["broken.pg"] == "error"
         assert outcomes["g1.pg"] == "solved"
-
-    def test_parallel_games(self, g1_path, capsys):
-        code = main(
-            ["bench", str(g1_path.parent), "--parallel-games", "3", "--repetitions", "1"]
-        )
-        assert code == 0
-        lines = capsys.readouterr().out.strip().splitlines()
-        assert lines[0] == self.HEADER and len(lines) == 3
 
     def test_unknown_solver(self, g1_path):
         assert main(["bench", str(g1_path.parent), "--solvers", "zelda"]) == 3

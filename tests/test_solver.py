@@ -140,11 +140,9 @@ class TestSolveFreezing:
 
     def test_options_validation(self):
         with pytest.raises(ValueError):
-            pf.SolverOptions(workers=0)
-        with pytest.raises(ValueError):
-            pf.SolverOptions(pass_semantics="in_place", workers=2)
-        with pytest.raises(ValueError):
             pf.SolverOptions(mode="basic", pass_semantics="in_place")
+        with pytest.raises(ValueError):
+            pf.solve_basic(pf.ParityGame([0], [0], [[0]]), engine="vector")
         with pytest.raises(ValueError):
             pf.solve(pf.ParityGame([0], [0], [[0]]), engine="nope")
         with pytest.raises(ValueError):
@@ -170,15 +168,9 @@ def test_region_agreement_across_modes(seed):
 
 @settings(max_examples=80, deadline=None)
 @given(st.integers(0, 10**9))
-def test_engines_and_workers_bit_identical(seed):
+def test_engines_bit_identical(seed):
     game = seeded_game(seed, max_n=60)
-    scalar = pf.solve(game, engine="scalar")
-    vector = pf.solve(game, engine="vector")
-    vector_w4 = pf.solve(game, pf.SolverOptions(workers=4), engine="vector")
-    assert scalar == vector == vector_w4
-    sb = pf.solve_basic(game, engine="scalar")
-    vb = pf.solve_basic(game, engine="vector")
-    assert sb == vb
+    assert pf.solve(game, engine="scalar") == pf.solve(game, engine="vector")
 
 
 @settings(max_examples=60, deadline=None)
@@ -192,16 +184,14 @@ def test_freeze_discipline_and_epoch_monotonicity(seed):
     assert pf.verify(game, sol).ok
 
 
-def test_trace_deterministic_across_runs_and_workers():
+def test_trace_deterministic_across_runs():
     for seed in (3, 17, 2024):
         game = seeded_game(seed)
         sorted_game, _ = pf.sort_by_priority(game)
         traces = []
-        for workers in (1, 1, 2, 4):
+        for _ in range(3):
             rec = Recorder(sorted_game)
-            # hooks force the scalar engine; snapshot semantics makes the
-            # trace independent of the partition count
-            pf.solve(game, pf.SolverOptions(workers=workers), hooks=rec)
+            pf.solve(game, hooks=rec)
             traces.append(rec.trace)
         assert all(t == traces[0] for t in traces)
 

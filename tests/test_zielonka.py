@@ -41,7 +41,7 @@ def test_depth_guard():
 
 def test_timeout():
     game = seeded_game(7)
-    with pytest.raises(pf.zielonka.ZielonkaTimeoutError):
+    with pytest.raises(pf.SolveTimeoutError):
         pf.solve_zielonka(game, timeout_s=0.0)
 
 
