@@ -88,6 +88,8 @@ def _solve_game(
 def _cmd_solve(args) -> int:
     if args.verify and args.solver in REGION_ONLY_SOLVERS:
         raise _UsageError(f"--verify needs strategies; solver {args.solver!r} emits regions only")
+    if args.in_place and args.solver != "dfi":
+        raise _UsageError(f"--in-place applies to solver 'dfi' only, not {args.solver!r}")
     try:
         game = _read_game(args.game)
     except (OSError, ParseError, ValidationError) as exc:
@@ -114,7 +116,8 @@ def _cmd_solve(args) -> int:
     if args.stats and stats is not None:
         print(
             f"passes={stats.passes} additions={stats.additions} resets={stats.resets} "
-            f"freezes={stats.freezes} time_s={stats.wall_time_s:.6f}",
+            f"freezes={stats.freezes} evaluations={stats.evaluations} "
+            f"time_s={stats.wall_time_s:.6f}",
             file=sys.stderr,
         )
     return EXIT_OK

@@ -156,12 +156,25 @@ class ParityGame:
             count=int(indptr[-1]),
         )
         counts = np.diff(indptr)
-        edge_owner = np.repeat(np.asarray(self._owner_ints, dtype=np.uint8), counts)
+        edge_owner = np.repeat(self._owner_bits, counts)
         return indptr, targets, edge_owner
+
+    @cached_property
+    def _reverse_csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """(indptr, edge sources) of the reverse edges, grouped by target."""
+        indptr, targets, _ = self._csr
+        rev_indptr = np.zeros(self.n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(targets, minlength=self.n), out=rev_indptr[1:])
+        sources = np.repeat(np.arange(self.n, dtype=np.int32), np.diff(indptr))
+        return rev_indptr, sources[np.argsort(targets, kind="stable")]
 
     @cached_property
     def _parity_bits(self) -> np.ndarray:
         return np.fromiter(self._parity_ints, dtype=np.uint8, count=self.n)
+
+    @cached_property
+    def _owner_bits(self) -> np.ndarray:
+        return np.fromiter(self._owner_ints, dtype=np.uint8, count=self.n)
 
     @cached_property
     def levels(self) -> tuple[tuple[int, int, int], ...]:

@@ -19,12 +19,31 @@ the flag state from the start of the pass; it is the canonical mode.
 regions.
 
 Engines: a scalar engine (plain Python, used for small games and whenever
-instrumentation hooks are attached) and a vectorized engine (numpy over a
-CSR edge layout, used for large games).  The vector engine implements
-freezing mode with snapshot passes, including strategy tie-breaking on the
-first winning successor in stored order, and produces results identical to
-the scalar engine's.  Basic mode, the region-only reference of the
-algorithm, runs on the scalar engine only.
+instrumentation hooks are attached) and a vector engine (used for large
+games).  The vector engine implements freezing mode with snapshot passes,
+including strategy tie-breaking on the first winning successor in stored
+order, and produces the scalar engine's results, distractions and pass,
+addition, reset and freeze counts.  Basic mode, the region-only reference
+of the algorithm, runs on the scalar engine only.
+
+The vector engine is a worklist over dirty vertices.  A vertex's one-step
+result depends only on its successors' winner bits, so it is re-evaluated
+only when it is dirty: every vertex starts dirty, a reset vertex becomes
+dirty, and so does every predecessor of a vertex that is added to Z or
+reset.  A pass evaluates the unfrozen, non-Z dirty vertices of its level and
+clears their dirty bits; a pass that finds none costs a few numpy calls.
+Frozen vertices keep their dirty bit until they are thawed.  A dirty set
+of at most ``_K`` vertices is evaluated, and its additions' predecessors
+marked, in a Python loop; a larger set goes through a numpy gather over the
+CSR edge arrays and a reverse-CSR scatter.  Freezes, resets and thaws are
+numpy sweeps over the levels below the current one.
+
+Its state is one flags word and one int32 strategy slot per vertex, each
+a Python ``array`` shared with a numpy view of the same memory.  A flags
+word holds, from the top bit down, the z bit, the dirty bit and a freeze
+field with the freezing level's index + 1 (0: not frozen); it is 8 bits
+wide up to 63 levels, then 16, then 32.  A winner bit is read as
+``parity ^ z``.
 """
 
 from __future__ import annotations
@@ -39,6 +58,10 @@ import numpy as np
 from .game import ParityGame, Player, Solution, SolveTimeoutError, SortPermutation, sort_by_priority
 
 _SCALAR_LIMIT = 1024
+# The vector engine evaluates a dirty set of at most this many vertices in a
+# Python loop and a larger one with numpy; the same split decides how the
+# predecessors of changed vertices are marked.
+_K = 64
 
 
 @dataclass(frozen=True)
@@ -64,6 +87,9 @@ class SolverStats:
     additions: int = 0
     resets: int = 0
     freezes: int = 0
+    # vertices evaluated; a per-engine work counter, since the vector engine
+    # skips vertices whose successors' winner bits have not changed
+    evaluations: int = 0
     wall_time_s: float = 0.0
     state_bytes: int = 0
 
@@ -154,6 +180,7 @@ def _basic_scalar(game, hooks, deadline, stats) -> bytearray:
         for v in range(lo, hi):
             if z[v]:
                 continue
+            stats.evaluations += 1
             if hooks:
                 hooks.on_evaluate(v, p)
             ow = own[v]
@@ -208,6 +235,7 @@ def _freezing_scalar(game, opts, hooks, deadline, stats):
         for v in range(lo, hi):
             if f[v] or z[v]:
                 continue
+            stats.evaluations += 1
             if hooks:
                 hooks.on_evaluate(v, p)
             ow = own[v]
@@ -260,30 +288,40 @@ def _freezing_scalar(game, opts, hooks, deadline, stats):
 # ---------------------------------------------------------------- vector
 
 
-def _flag_layout(d: int) -> tuple[type, int]:
-    if d <= 126:
-        return np.uint8, 7
-    if d <= 32766:
-        return np.uint16, 15
-    return np.uint32, 31
+def _flag_layout(levels: int) -> tuple[str, int]:
+    """Typecode of the flags word and the shift of its z bit.
+
+    Below the z bit sits the dirty bit, and below that a freeze field wide
+    enough for the level index + 1.
+    """
+    if levels <= 63:
+        return "B", 7
+    if levels <= 16383:
+        return "H", 15
+    return "I", 31
 
 
-def _eval_indices(indptr, targets, edge_owner, owner_bits, win, gidx):
+def _positions(indptr, rows):
+    """CSR positions of ``rows``, row after row, and the row bounds within them."""
+    starts = indptr[rows]
+    counts = indptr[rows + 1] - starts
+    bounds = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum(counts, out=bounds[1:])
+    pos = np.arange(bounds[-1], dtype=np.int64)
+    pos += np.repeat(starts - bounds[:-1], counts)
+    return pos, bounds
+
+
+def _eval_indices(indptr, targets, edge_owner, owner_bits, par, flags, zshift, gidx):
     """One-step evaluation of the vertices listed in ``gidx`` against the
-    snapshot winner bits ``win``.
+    winner bits ``par ^ z`` read from ``flags``.
 
     Returns (first winning successor or -1, one-step winner bit), aligned
     with ``gidx``.
     """
-    starts = indptr[gidx]
-    counts = indptr[gidx + 1] - starts
-    total = int(counts.sum())
-    bounds = np.zeros(len(gidx) + 1, dtype=np.int64)
-    np.cumsum(counts, out=bounds[1:])
-    pos = np.arange(total, dtype=np.int64)
-    pos += np.repeat(starts - bounds[:-1], counts)
+    pos, bounds = _positions(indptr, gidx)
     tg = targets[pos]
-    good = win[tg] == edge_owner[pos]
+    good = (par[tg] ^ (flags[tg] >> zshift)) == edge_owner[pos]
     hits = np.flatnonzero(good)
     fh = np.searchsorted(hits, bounds[:-1], side="left")
     eh = np.empty_like(fh)
@@ -303,58 +341,105 @@ def _eval_indices(indptr, targets, edge_owner, owner_bits, win, gidx):
 
 def _freezing_vector(game, deadline, stats):
     n = game.n
+    succ = game.successors
+    pred = game.predecessors
+    par = game._parity_ints
+    own = game._owner_ints
+    parb = game._parity_bits
+    owner_bits = game._owner_bits
     indptr, targets, edge_owner = game._csr
-    par = game._parity_bits
-    owner_bits = np.fromiter(game._owner_ints, dtype=np.uint8, count=n)
-    dtype, zshift = _flag_layout(game.max_priority)
-    zmask = 1 << zshift
-    fmask = zmask - 1
-    flags = np.zeros(n, dtype=dtype)
-    strat = np.full(n, -1, dtype=np.int32)
-    stats.state_bytes = flags.nbytes + strat.nbytes
-    win = par.copy()  # kept equal to par ^ zbit at every pass boundary
+    rev_indptr, sources = game._reverse_csr
     levels = game.levels
-    frozen_at: dict[int, int] = {}  # freeze level -> live count, to skip no-op thaws
+    code, zshift = _flag_layout(len(levels))
+    zbit = 1 << zshift
+    dirty = zbit >> 1
+    field = dirty - 1  # freeze field mask
+    # Python arrays for per-vertex reads and writes, numpy views of the same
+    # memory for sweeps
+    fl = array(code, [dirty]) * n
+    st = array("i", [-1]) * n
+    flags = np.frombuffer(fl, dtype=code)
+    strat = np.frombuffer(st, dtype=np.int32)
+    stats.state_bytes = flags.nbytes + strat.nbytes
+
+    def mark_predecessors(vs):
+        """Mark dirty the predecessors of ``vs``, whose winner bits just changed.
+
+        ``vs`` is a list or an array; a list is never longer than ``_K``.
+        """
+        if len(vs) <= _K:
+            for u in vs:
+                for w in pred[u]:
+                    fl[w] |= dirty
+        else:
+            pos, _ = _positions(rev_indptr, vs)
+            flags[sources[pos]] |= dirty
+
+    frozen_at = [0] * len(levels)  # live frozen count per freezing level, to skip no-op thaws
     li = 0
     while li < len(levels):
         _check_deadline(deadline)
         stats.passes += 1
         p, lo, hi = levels[li]
         alpha = p & 1
-        gidx = lo + np.flatnonzero(flags[lo:hi] == 0)
-        added = 0
-        if len(gidx):
-            stratvals, osbit = _eval_indices(indptr, targets, edge_owner, owner_bits, win, gidx)
+        sel = (flags[lo:hi] == dirty).nonzero()[0]
+        stats.evaluations += len(sel)
+        if len(sel) <= _K:
+            # every vertex is evaluated before any z bit moves: snapshot semantics
+            adds = []
+            for i in sel.tolist():
+                v = lo + i
+                ow = own[v]
+                choice = -1
+                for u in succ[v]:
+                    if (par[u] ^ (fl[u] >> zshift)) == ow:
+                        choice = u
+                        break
+                st[v] = choice
+                fl[v] = 0
+                if (ow if choice >= 0 else 1 - ow) != alpha:
+                    adds.append(v)
+            for v in adds:
+                fl[v] = zbit
+            mark_predecessors(adds)
+            added = len(adds)
+        else:
+            gidx = sel + lo
+            stratvals, osbit = _eval_indices(
+                indptr, targets, edge_owner, owner_bits, parb, flags, zshift, gidx
+            )
             strat[gidx] = stratvals
+            flags[gidx] = 0
             add = gidx[osbit != alpha]
+            flags[add] = zbit
+            mark_predecessors(add)
             added = len(add)
         if added:
-            flags[add] |= zmask
-            win[add] = 1 - alpha
             stats.additions += added
             stats.resets += 1
-            low = flags[:lo]
-            unfrozen = (low & fmask) == 0
-            opp_now = win[:lo] == (1 - alpha)
-            fr = unfrozen & opp_now
-            nfr = int(np.count_nonzero(fr))
-            if nfr:
-                low[fr] = (low[fr] & zmask) | (p + 1)
-                stats.freezes += nfr
-                frozen_at[p] = frozen_at.get(p, 0) + nfr
-            rs = unfrozen & ~opp_now
-            low[rs] = 0
-            win[:lo][rs] = par[:lo][rs]
+            if lo:
+                low = flags[:lo]
+                unfrozen = (low & field) == 0
+                opp_now = (parb[:lo] ^ (low >> zshift)) != alpha
+                fr = unfrozen & opp_now
+                nfr = int(np.count_nonzero(fr))
+                if nfr:
+                    np.bitwise_or(low, li + 1, out=low, where=fr)
+                    stats.freezes += nfr
+                    frozen_at[li] += nfr
+                # reset: unfrozen Z vertices that the current level's player now wins
+                rs = (unfrozen & ~opp_now & (low >= zbit)).nonzero()[0]
+                low[rs] = dirty
+                mark_predecessors(rs)
             li = 0
         else:
-            if frozen_at.get(p):
+            if frozen_at[li]:
                 low = flags[:lo]
-                thaw = (low & fmask) == (p + 1)
-                low[thaw] &= zmask
-                frozen_at[p] = 0
+                np.bitwise_and(low, zbit | dirty, out=low, where=(low & field) == li + 1)
+                frozen_at[li] = 0
             li += 1
-    z = ((flags >> zshift) & 1).astype(np.uint8)
-    return z, strat
+    z = (flags >> zshift).astype(np.uint8).tobytes()
+    return z, st
 
 
 # ---------------------------------------------------------------- driver

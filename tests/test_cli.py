@@ -51,6 +51,7 @@ class TestSolveCommand:
         captured = capsys.readouterr()
         assert out_file.read_text() == "paritysol 1;\n0 0 1;\n1 0 0;\n"
         assert "passes=" in captured.err
+        assert "evaluations=" in captured.err
 
     def test_no_preprocess_same_answer(self, g1_path, capsys):
         assert main(["solve", str(g1_path)]) == 0
@@ -61,6 +62,11 @@ class TestSolveCommand:
 
     def test_in_place(self, g1_path, capsys):
         assert main(["solve", str(g1_path), "--in-place", "--verify"]) == 0
+
+    def test_in_place_rejected_outside_dfi(self, g1_path, capsys):
+        assert main(["solve", str(g1_path), "--solver", "dfi-basic", "--in-place"]) == 3
+        assert main(["solve", str(g1_path), "--solver", "zlk", "--in-place"]) == 3
+        assert "--in-place" in capsys.readouterr().err
 
 
 class TestVerifyCommand:

@@ -173,6 +173,45 @@ def test_engines_bit_identical(seed):
     assert pf.solve(game, engine="scalar") == pf.solve(game, engine="vector")
 
 
+def _run_record(out):
+    st = out.stats
+    return out.solution, out.distractions, (st.passes, st.additions, st.resets, st.freezes)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10**9), st.sampled_from([0.0, 0.1]))
+def test_engines_bit_identical_detailed(seed, self_loop):
+    # n is uniform in 1..2500: levels of more than 64 vertices send their
+    # first pass through the numpy evaluator, later small dirty sets through
+    # the Python one
+    game = seeded_game(seed, max_n=2500, max_d=8, self_loop=self_loop)
+    scalar = pf.solve_detailed(game, engine="scalar")
+    vector = pf.solve_detailed(game, engine="vector")
+    assert _run_record(vector) == _run_record(scalar)
+
+
+def test_vector_engine_evaluates_fewer_vertices():
+    game = pf.random_game(
+        pf.GenParams(n=2000, max_priority=6, outdegree_lo=1, outdegree_hi=3,
+                     self_loop_probability=0.0, seed=1)
+    )
+    scalar = pf.solve_detailed(game, engine="scalar")
+    vector = pf.solve_detailed(game, engine="vector")
+    assert _run_record(vector) == _run_record(scalar)
+    assert 0 < vector.stats.evaluations < scalar.stats.evaluations
+
+
+def test_vector_engine_huge_priorities():
+    base = pf.random_game(
+        pf.GenParams(n=3000, max_priority=6, outdegree_lo=1, outdegree_hi=3,
+                     self_loop_probability=0.1, seed=5)
+    )
+    game = pf.ParityGame([p * 2**33 + (p & 1) for p in base.priority], base.owner, base.successors)
+    vector = pf.solve(game, engine="vector")
+    assert vector == pf.solve(game, engine="scalar")
+    assert pf.verify(game, vector).ok
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10**9))
 def test_freeze_discipline_and_epoch_monotonicity(seed):
