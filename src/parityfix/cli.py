@@ -1,8 +1,10 @@
 """Command line front end: solve, verify, gen, bench, stats.
 
-Exit codes: 0 solved/ok, 1 verification failure, 2 I/O or parse error,
-3 invalid flags.  All file I/O speaks the PGSolver formats; sorting and
-index remapping stay internal, users only ever see their own vertex ids.
+Exit codes: 0 solved/ok, 1 verification failure, 2 I/O, decode or parse
+error, 3 invalid flags, 4 solver deadline passed (``solve --timeout``,
+which bounds the solver only, not reading or preprocessing).  All file
+I/O speaks the PGSolver formats; sorting and index remapping stay
+internal, users only ever see their own vertex ids.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ EXIT_OK = 0
 EXIT_VERIFICATION = 1
 EXIT_IO = 2
 EXIT_USAGE = 3
+EXIT_TIMEOUT = 4
 
 SOLVERS = ("dfi", "dfi-basic", "zlk", "bfl")
 REGION_ONLY_SOLVERS = ("dfi-basic", "bfl")
@@ -90,14 +93,24 @@ def _cmd_solve(args) -> int:
         raise _UsageError(f"--verify needs strategies; solver {args.solver!r} emits regions only")
     if args.in_place and args.solver != "dfi":
         raise _UsageError(f"--in-place applies to solver 'dfi' only, not {args.solver!r}")
+    if args.timeout is not None and not args.timeout >= 0:
+        raise _UsageError("--timeout must be a nonnegative number of seconds")
     try:
         game = _read_game(args.game)
-    except (OSError, ParseError, ValidationError) as exc:
+    except (OSError, UnicodeDecodeError, ParseError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    solution, stats = _solve_game(
-        game, args.solver, preprocess=not args.no_preprocess, in_place=args.in_place
-    )
+    try:
+        solution, stats = _solve_game(
+            game,
+            args.solver,
+            preprocess=not args.no_preprocess,
+            in_place=args.in_place,
+            timeout_s=args.timeout,
+        )
+    except SolveTimeoutError as exc:
+        print(f"error: {exc} (--timeout {args.timeout:g})", file=sys.stderr)
+        return EXIT_TIMEOUT
     if args.verify:
         report = verify(game, solution)
         if not report.ok:
@@ -127,7 +140,7 @@ def _cmd_verify(args) -> int:
     try:
         game = _read_game(args.game)
         solution = parse_solution(Path(args.solution).read_text(), game)
-    except (OSError, ParseError, ValidationError) as exc:
+    except (OSError, UnicodeDecodeError, ParseError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     report = verify(game, solution)
@@ -165,7 +178,7 @@ def _cmd_gen(args) -> int:
 def _cmd_stats(args) -> int:
     try:
         game = _read_game(args.game)
-    except (OSError, ParseError, ValidationError) as exc:
+    except (OSError, UnicodeDecodeError, ParseError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     st = game_stats(game)
@@ -249,6 +262,9 @@ def build_parser() -> _Parser:
     p_solve.add_argument("-o", "--output")
     p_solve.add_argument("--in-place", action="store_true", help="dfi only; sequential pass updates")
     p_solve.add_argument("--stats", action="store_true", help="print solver counters to stderr")
+    p_solve.add_argument(
+        "--timeout", type=float, metavar="SECONDS", help="solver deadline; exit 4 when it passes"
+    )
     p_solve.set_defaults(func=_cmd_solve)
 
     p_verify = sub.add_parser("verify", help="check a solution file against a game")

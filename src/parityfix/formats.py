@@ -12,6 +12,16 @@ Both ``\\n`` and ``\\r\\n`` line endings are accepted; output always uses
 ``\\n``.  The header's max-id is advisory only; the true vertex set comes
 from the records.  An empty game serializes to an empty file since there
 is no sensible max-id for it.
+
+Game files are read by one regex pass over the whole text, from after an
+optional header on the first non-blank line.  The pass is accepted only
+when the header, the record matches and the blank lines (exactly
+``[ \\t]*\\r?``; a form feed or a second ``\\r`` is not blank) add up to
+the number of lines, ids are distinct, every target is declared and no
+row repeats a target.  Anything else (a late header, an owner written
+``01``, a non-ASCII digit, any error) hands the whole text to the line
+scanner, which builds the same game or raises.  So every error, with its
+line, column and message, comes from the line scanner.
 """
 
 from __future__ import annotations
@@ -25,6 +35,7 @@ from .game import (
     ParityGame,
     Player,
     Solution,
+    ValidationError,
     validate,
 )
 
@@ -32,6 +43,16 @@ log = logging.getLogger(__name__)
 
 _INT = re.compile(r"\d+")
 _LABEL = re.compile(r'"([^"]*)"')
+
+# Whole-text patterns.  A record or a blank line never spans a line break.  A
+# label keeps its quotes, so that an empty label is told apart from none.
+_HEADER = re.compile(r"(?:[ \t]*\r?\n)*[ \t]*parity[ \t]*[0-9]+[ \t]*;[ \t]*\r?$", re.M)
+_RECORD = re.compile(
+    r"^[ \t]*([0-9]+)[ \t]+([0-9]+)[ \t]+([01])[ \t]+([0-9]+(?:[ \t]*,[ \t]*[0-9]+)*)"
+    r'[ \t]*("[^"\n]*")?[ \t]*;[ \t]*\r?$',
+    re.M,
+)
+_BLANK = re.compile(r"^[ \t]*\r?$", re.M)
 
 
 class ParseError(Exception):
@@ -116,6 +137,66 @@ def parse_pgsolver(text: str | bytes, *, permissive: bool = False) -> ParityGame
     ``permissive`` downgrades duplicate successor entries to a dedup with a
     logged warning instead of an error.
     """
+    if isinstance(text, bytes):
+        text = text.decode("utf-8")
+    game = _parse_records(text)
+    if game is not None:
+        try:
+            validate(game)
+            return game
+        except ValidationError:
+            pass  # a dangling or repeated target; the scanner reports it in file ids
+    return _scan_pgsolver(text, permissive=permissive)
+
+
+def _parse_records(text: str) -> ParityGame | None:
+    """The game of a text of well-formed lines only, or None for the line scanner.
+
+    The caller still validates the result: a target beyond the last id of
+    a text with ids ``0..n-1`` in order, or a repeated target, is left to
+    ``validate``.
+    """
+    header = _HEADER.match(text)
+    ids: list[str] = []
+    priorities: list[str] = []
+    owners: list[str] = []
+    succ_texts: list[str] = []
+    labels: list[str | None] = []
+    for m in _RECORD.finditer(text, header.end() if header else 0):
+        vid, priority, owner, succ, label = m.groups()
+        ids.append(vid)
+        priorities.append(priority)
+        owners.append(owner)
+        succ_texts.append(succ)
+        labels.append(label)
+    n = len(ids)
+    blanks = sum(1 for _ in _BLANK.finditer(text))
+    if n + blanks + (header is not None) != text.count("\n") + 1:
+        return None
+    original_id = list(map(int, ids))
+    if original_id == list(range(n)):
+        successors = [tuple(map(int, s.split(","))) for s in succ_texts]
+    else:
+        index_of = dict(zip(original_id, range(n)))
+        if len(index_of) != n:
+            return None
+        try:
+            successors = [
+                tuple(map(index_of.__getitem__, map(int, s.split(",")))) for s in succ_texts
+            ]
+        except KeyError:
+            return None
+    return ParityGame(
+        list(map(int, priorities)),
+        list(map(int, owners)),
+        successors,
+        original_id=original_id,
+        label=[label and label[1:-1] for label in labels],
+    )
+
+
+def _scan_pgsolver(text: str, *, permissive: bool = False) -> ParityGame:
+    """Parse line by line with exact error positions, and validate the result."""
     records: list[tuple[int, int, int, list[int], str | None]] = []
     index_of: dict[int, int] = {}
     header_seen = False

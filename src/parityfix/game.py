@@ -34,6 +34,9 @@ class Player(IntEnum):
         return cls(priority & 1)
 
 
+_PLAYER = {0: Player.EVEN, 1: Player.ODD}
+
+
 class ValidationError(Exception):
     """A parity game invariant does not hold."""
 
@@ -86,15 +89,18 @@ class ParityGame:
             raise ValueError("original_id length mismatch")
         if label is not None and len(label) != n:
             raise ValueError("label length mismatch")
-        self.priority: tuple[int, ...] = tuple(int(p) for p in priority)
-        if any(p < 0 for p in self.priority):
+        self.priority: tuple[int, ...] = tuple(map(int, priority))
+        if min(self.priority, default=0) < 0:
             raise ValueError("priorities must be nonnegative")
-        self.owner: tuple[Player, ...] = tuple(Player(o) for o in owner)
+        try:
+            self.owner: tuple[Player, ...] = tuple(map(_PLAYER.__getitem__, owner))
+        except (KeyError, TypeError):
+            self.owner = tuple(Player(o) for o in owner)  # raises Player's ValueError
         self.successors: tuple[tuple[int, ...], ...] = tuple(
-            tuple(int(u) for u in succ) for succ in successors
+            tuple(map(int, succ)) for succ in successors
         )
         self.original_id: tuple[int, ...] = (
-            tuple(int(i) for i in original_id) if original_id is not None else tuple(range(n))
+            tuple(map(int, original_id)) if original_id is not None else tuple(range(n))
         )
         self.label: tuple[str | None, ...] = tuple(label) if label is not None else (None,) * n
 

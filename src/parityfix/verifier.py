@@ -71,57 +71,61 @@ class VerificationReport:
     violations: tuple[Violation, ...]
 
 
-def _components(subset: list[int], adj: dict[int, list[int]]) -> list[tuple[list[int], bool]]:
-    """Tarjan over ``subset`` with edges filtered to it; (vertices, cyclic)."""
-    inside = set(subset)
-    index: dict[int, int] = {}
-    lowlink: dict[int, int] = {}
-    on_stack: set[int] = set()
+def _cyclic_components(
+    subset: list[int],
+    adj: dict[int, list[int]],
+    index: list[int],
+    lowlink: list[int],
+    on_stack: bytearray,
+) -> list[list[int]]:
+    """Tarjan over ``subset`` with edges filtered to it; the components with a cycle.
+
+    ``index``, ``lowlink`` and ``on_stack`` hold per-vertex state for all
+    calls of one ``verify``.  Every vertex that ``adj`` reaches from
+    ``subset`` without being in it was indexed by an earlier call and is
+    off the stack, so its edges are skipped as leaving the subset.
+    """
+    for v in subset:
+        index[v] = -1
     stack: list[int] = []
     counter = 0
-    out: list[tuple[list[int], bool]] = []
+    out: list[list[int]] = []
     for root in subset:
-        if root in index:
+        if index[root] >= 0:
             continue
-        work: list[tuple[int, int]] = [(root, 0)]
+        index[root] = lowlink[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack[root] = 1
+        work = [(root, iter(adj[root]))]
         while work:
-            v, si = work[-1]
-            if si == 0:
-                index[v] = lowlink[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack.add(v)
-            advanced = False
-            edges = adj[v]
-            while si < len(edges):
-                u = edges[si]
-                si += 1
-                if u not in inside:
-                    continue
-                if u not in index:
-                    work[-1] = (v, si)
-                    work.append((u, 0))
-                    advanced = True
+            v, edges = work[-1]
+            for u in edges:
+                if index[u] < 0:
+                    index[u] = lowlink[u] = counter
+                    counter += 1
+                    stack.append(u)
+                    on_stack[u] = 1
+                    work.append((u, iter(adj[u])))
                     break
-                if u in on_stack and index[u] < lowlink[v]:
+                if on_stack[u] and index[u] < lowlink[v]:
                     lowlink[v] = index[u]
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                if lowlink[v] < lowlink[parent]:
-                    lowlink[parent] = lowlink[v]
-            if lowlink[v] == index[v]:
-                comp: list[int] = []
-                while True:
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    if lowlink[v] < lowlink[parent]:
+                        lowlink[parent] = lowlink[v]
+                if lowlink[v] == index[v]:
                     w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == v:
-                        break
-                cyclic = len(comp) > 1 or any(u == comp[0] for u in adj[comp[0]])
-                out.append((comp, cyclic))
+                    on_stack[w] = 0
+                    comp = [w]
+                    while w != v:
+                        w = stack.pop()
+                        on_stack[w] = 0
+                        comp.append(w)
+                    if len(comp) > 1 or v in adj[v]:
+                        out.append(comp)
     return out
 
 
@@ -165,6 +169,9 @@ def verify(game: ParityGame, sol: Solution) -> VerificationReport:
     if sol.n != game.n:
         raise ValueError("solution does not match the game")
     violations: list[Violation] = []
+    index = [-1] * game.n
+    lowlink = [0] * game.n
+    on_stack = bytearray(game.n)
     for player in (Player.EVEN, Player.ODD):
         region = {v for v in range(game.n) if sol.winner[v] is player}
         adj: dict[int, list[int]] = {}
@@ -192,9 +199,7 @@ def verify(game: ParityGame, sol: Solution) -> VerificationReport:
             subset = work.pop()
             if not subset:
                 continue
-            for comp, cyclic in _components(subset, adj):
-                if not cyclic:
-                    continue
+            for comp in _cyclic_components(subset, adj, index, lowlink, on_stack):
                 pmax = max(game.priority[v] for v in comp)
                 if pmax & 1 != int(player):
                     anchor = min(v for v in comp if game.priority[v] == pmax)

@@ -43,6 +43,8 @@ class TestSolveCommand:
         assert main(["solve", str(g1_path), "--solver", "nope"]) == 3
         assert main(["nonsense"]) == 3
         assert main(["solve", str(g1_path), "--solver", "bfl", "--verify"]) == 3
+        assert main(["solve", str(g1_path), "--timeout", "-1"]) == 3
+        assert main(["solve", str(g1_path), "--timeout", "nan"]) == 3
 
     def test_output_file_and_stats(self, g1_path, tmp_path, capsys):
         out_file = tmp_path / "sol.txt"
@@ -59,6 +61,27 @@ class TestSolveCommand:
         assert main(["solve", str(g1_path), "--no-preprocess"]) == 0
         without = capsys.readouterr().out
         assert with_pre == without
+
+    def test_timeout_exit_code(self, tmp_path, capsys):
+        game_path = tmp_path / "loop_free.pg"
+        gen = ["gen", "--n", "300", "--d", "6", "--self-loops", "0", "--seed", "3"]
+        assert main([*gen, "-o", str(game_path)]) == 0
+        for solver in ("dfi", "dfi-basic", "zlk", "bfl"):
+            assert main(["solve", str(game_path), "--solver", solver, "--timeout", "0"]) == 4
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error:")
+        assert main(["solve", str(game_path), "--timeout", "60", "--verify"]) == 0
+
+    def test_non_utf8_input(self, g1_path, tmp_path, capsys):
+        bad = tmp_path / "bad.pg"
+        bad.write_bytes(b"\xff\xfe0 1 0 0;\n")
+        assert main(["solve", str(bad)]) == 2
+        assert main(["stats", str(bad)]) == 2
+        assert main(["verify", str(bad), str(bad)]) == 2
+        assert main(["verify", str(g1_path), str(bad)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 4 and all(line.startswith("error:") for line in err)
 
     def test_in_place(self, g1_path, capsys):
         assert main(["solve", str(g1_path), "--in-place", "--verify"]) == 0

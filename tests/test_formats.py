@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import parityfix as pf
+from parityfix import formats
 
 from conftest import DATA, build_g1, build_g2, seeded_game
 
@@ -91,6 +92,114 @@ class TestParseGame:
 
     def test_empty_input_is_empty_game(self):
         assert pf.parse_pgsolver("").n == 0
+
+    def test_empty_label_is_not_no_label(self):
+        assert pf.parse_pgsolver('0 2 1 0 "";').label == ("",)
+
+
+_WS = st.sampled_from(["", " ", "\t", " \t", "  "])
+_SEP = st.sampled_from([" ", "\t", "  ", "\t "])
+_BLANK = st.sampled_from(["", " ", "\t", " \t "])
+_MUTATIONS = (
+    "cr", "cr_eol", "ff", "nl", "owner2", "owner01", "dup_id", "dangling", "dup_edge", "late_header"
+)
+
+
+@st.composite
+def pgsolver_texts(draw, mutate: bool = False) -> str:
+    """Game texts in varied layouts; with ``mutate``, one defect or oddity added."""
+    n = draw(st.integers(0, 8))
+    if draw(st.booleans()):
+        ids = list(range(n))
+    else:
+        ids = draw(st.lists(st.integers(0, 99), min_size=n, max_size=n, unique=True))
+
+    def num(k: int) -> str:
+        return draw(st.sampled_from(["", "0"])) + str(k)
+
+    records = []
+    for vid in ids:
+        succ = draw(st.lists(st.sampled_from(ids), min_size=1, max_size=4, unique=True))
+        label = draw(
+            st.none()
+            | st.just("")
+            | st.text(st.characters(codec="utf-8", exclude_characters='"\n'), max_size=5)
+        )
+        priority = num(draw(st.integers(0, 20)))
+        owner = str(draw(st.integers(0, 1)))
+        records.append([num(vid), priority, owner, list(map(num, succ)), label])
+    kind = draw(st.sampled_from(_MUTATIONS)) if mutate else None
+    if records:
+        i = draw(st.integers(0, len(records) - 1))
+        if kind == "owner2":
+            records[i][2] = "2"
+        elif kind == "owner01":
+            records[i][2] = "01"
+        elif kind == "dup_id":
+            copy = [records[i][0], "0", "1", records[i][3], None]
+            records.insert(draw(st.integers(0, len(records))), copy)
+        elif kind == "dangling":
+            records[i][3].append(str(max(ids) + 1))
+        elif kind == "dup_edge":
+            records[i][3].append(records[i][3][-1])
+
+    def header() -> str:
+        return f"{draw(_WS)}parity{draw(_WS)}{draw(st.integers(0, 99))}{draw(_WS)};{draw(_WS)}"
+
+    lines = draw(st.lists(_BLANK, max_size=2))
+    if draw(st.booleans()):
+        lines.append(header())
+    late = draw(st.integers(0, len(records)))
+    for k, (vid, priority, owner, succ, label) in enumerate(records):
+        if kind == "late_header" and k == late:
+            lines.append(header())
+        succ_text = succ[0] + "".join(f"{draw(_WS)},{draw(_WS)}{u}" for u in succ[1:])
+        label_text = "" if label is None else f'{draw(_WS)}"{label}"'
+        lines.append(
+            f"{draw(_WS)}{vid}{draw(_SEP)}{priority}{draw(_SEP)}{owner}{draw(_SEP)}"
+            f"{succ_text}{label_text}{draw(_WS)};{draw(_WS)}"
+        )
+        lines.extend(draw(st.lists(_BLANK, max_size=1)))
+    if kind == "late_header" and late == len(records):
+        lines.append(header())
+    if kind == "cr_eol" and lines:
+        lines[draw(st.integers(0, len(lines) - 1))] += "\r"
+    text = "".join(line + draw(st.sampled_from(["\n", "\r\n"])) for line in lines)
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    if kind in ("cr", "ff", "nl"):
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + {"cr": "\r", "ff": "\x0c", "nl": "\n"}[kind] + text[at:]
+    return text
+
+
+def _outcome(parse, text: str, permissive: bool):
+    try:
+        return parse(text, permissive=permissive)
+    except (pf.ParseError, pf.ValidationError) as exc:
+        return type(exc), getattr(exc, "line", None), getattr(exc, "column", None), str(exc)
+
+
+class TestWholeTextReader:
+    """The whole-text pass against the line scanner it falls back to."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(pgsolver_texts())
+    def test_same_game_as_line_scanner(self, text):
+        fast = formats._parse_records(text)
+        assert fast is not None
+        assert games_equal(fast, formats._scan_pgsolver(text))
+        assert games_equal(pf.parse_pgsolver(text), fast)
+
+    @settings(max_examples=400, deadline=None)
+    @given(pgsolver_texts(mutate=True), st.booleans())
+    def test_same_outcome_as_line_scanner(self, text, permissive):
+        got = _outcome(pf.parse_pgsolver, text, permissive)
+        want = _outcome(formats._scan_pgsolver, text, permissive)
+        if isinstance(want, pf.ParityGame):
+            assert isinstance(got, pf.ParityGame) and games_equal(got, want)
+        else:
+            assert got == want
 
 
 class TestWriteGame:

@@ -20,6 +20,17 @@ class TestPlayer:
         assert pf.Player.of_parity(17) is pf.Player.ODD
 
 
+class TestConstructor:
+    @pytest.mark.parametrize("owner", [2, -1, "x", [1]])
+    def test_owner_must_be_a_player(self, owner):
+        with pytest.raises(ValueError):
+            pf.ParityGame([0], [owner], [[0]])
+
+    @pytest.mark.parametrize("owner", [pf.Player.ODD, 1, True])
+    def test_owner_accepts_players_and_ints(self, owner):
+        assert pf.ParityGame([0], [owner], [[0]]).owner[0] is pf.Player.ODD
+
+
 class TestValidate:
     def test_empty_game_is_legal(self):
         pf.validate(pf.ParityGame([], [], []))
