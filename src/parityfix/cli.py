@@ -52,16 +52,11 @@ def _run_solver(
     residual: ParityGame,
     solver: str,
     *,
-    in_place: bool = False,
     timeout_s: float | None = None,
 ) -> tuple[Solution, SolverStats | None]:
     if solver in ("dfi", "dfi-basic"):
-        options = SolverOptions(
-            mode="freezing" if solver == "dfi" else "basic",
-            pass_semantics="in_place" if in_place else "snapshot",
-            timeout_s=timeout_s,
-        )
-        outcome = solve_detailed(residual, options)
+        mode = "freezing" if solver == "dfi" else "basic"
+        outcome = solve_detailed(residual, SolverOptions(mode=mode, timeout_s=timeout_s))
         return outcome.solution, outcome.stats
     if solver == "zlk":
         return solve_zielonka(residual, timeout_s=timeout_s), None
@@ -77,22 +72,19 @@ def _solve_game(
     solver: str,
     *,
     preprocess: bool,
-    in_place: bool = False,
     timeout_s: float | None = None,
 ) -> tuple[Solution, SolverStats | None]:
     if preprocess:
         partials, residual = apply_preprocessing(game)
     else:
         partials, residual = [], game
-    solution, stats = _run_solver(residual, solver, in_place=in_place, timeout_s=timeout_s)
+    solution, stats = _run_solver(residual, solver, timeout_s=timeout_s)
     return compose_solution(partials, solution), stats
 
 
 def _cmd_solve(args) -> int:
     if args.verify and args.solver in REGION_ONLY_SOLVERS:
         raise _UsageError(f"--verify needs strategies; solver {args.solver!r} emits regions only")
-    if args.in_place and args.solver != "dfi":
-        raise _UsageError(f"--in-place applies to solver 'dfi' only, not {args.solver!r}")
     if args.timeout is not None and not args.timeout >= 0:
         raise _UsageError("--timeout must be a nonnegative number of seconds")
     try:
@@ -105,7 +97,6 @@ def _cmd_solve(args) -> int:
             game,
             args.solver,
             preprocess=not args.no_preprocess,
-            in_place=args.in_place,
             timeout_s=args.timeout,
         )
     except SolveTimeoutError as exc:
@@ -232,6 +223,10 @@ def _bench_row(path: Path, solver: str, preprocess: bool, timeout_s: float, reps
 
 
 def _cmd_bench(args) -> int:
+    if args.repetitions < 1:
+        raise _UsageError("--repetitions must be at least 1")
+    if not args.timeout >= 0:
+        raise _UsageError("--timeout must be a nonnegative number of seconds")
     directory = Path(args.dir)
     if not directory.is_dir():
         print(f"error: {directory} is not a directory", file=sys.stderr)
@@ -260,7 +255,6 @@ def build_parser() -> _Parser:
     p_solve.add_argument("--no-preprocess", action="store_true")
     p_solve.add_argument("--verify", action="store_true", help="check the solution before writing")
     p_solve.add_argument("-o", "--output")
-    p_solve.add_argument("--in-place", action="store_true", help="dfi only; sequential pass updates")
     p_solve.add_argument("--stats", action="store_true", help="print solver counters to stderr")
     p_solve.add_argument(
         "--timeout", type=float, metavar="SECONDS", help="solver deadline; exit 4 when it passes"

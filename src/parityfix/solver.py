@@ -13,18 +13,18 @@ the recomputation.  Those frozen vertices keep the last successor choice
 recorded for them, which is exactly what makes the recorded one-step
 choices a correct winning strategy by the end of the run.
 
-Two pass semantics exist.  ``snapshot`` evaluates a whole level against
-the flag state from the start of the pass; it is the canonical mode.
-``in_place`` publishes flag updates mid-pass.  Both converge to the same
-regions.
+A pass evaluates the vertices of its level against the flags as they
+stand when the pass starts: it collects the level's new distractions in a
+list and sets their z bits only when the pass ends.  No flag moves during
+a pass, so no copy of the flags is needed.
 
 Engines: a scalar engine (plain Python, used for small games and whenever
 instrumentation hooks are attached) and a vector engine (used for large
-games).  The vector engine implements freezing mode with snapshot passes,
-including strategy tie-breaking on the first winning successor in stored
-order, and produces the scalar engine's results, distractions and pass,
-addition, reset and freeze counts.  Basic mode, the region-only reference
-of the algorithm, runs on the scalar engine only.
+games).  The vector engine implements freezing mode, including strategy
+tie-breaking on the first winning successor in stored order, and produces
+the scalar engine's results, distractions and pass, addition, reset and
+freeze counts.  Basic mode, the region-only reference of the algorithm,
+runs on the scalar engine only.
 
 The vector engine is a worklist over dirty vertices.  A vertex's one-step
 result depends only on its successors' winner bits, so it is re-evaluated
@@ -57,7 +57,9 @@ import numpy as np
 
 from .game import ParityGame, Player, Solution, SolveTimeoutError, SortPermutation, sort_by_priority
 
-_SCALAR_LIMIT = 1024
+# engine="auto" runs games of at most this many vertices on the scalar engine;
+# at this size both engines take about the same time (seeded d=6 games)
+_SCALAR_LIMIT = 750
 # The vector engine evaluates a dirty set of at most this many vertices in a
 # Python loop and a larger one with numpy; the same split decides how the
 # predecessors of changed vertices are marked.
@@ -67,16 +69,11 @@ _K = 64
 @dataclass(frozen=True)
 class SolverOptions:
     mode: Literal["basic", "freezing"] = "freezing"
-    pass_semantics: Literal["snapshot", "in_place"] = "snapshot"
     timeout_s: float | None = None
 
     def __post_init__(self):
         if self.mode not in ("basic", "freezing"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.pass_semantics not in ("snapshot", "in_place"):
-            raise ValueError(f"unknown pass semantics {self.pass_semantics!r}")
-        if self.mode == "basic" and self.pass_semantics == "in_place":
-            raise ValueError("basic mode always evaluates against a pass snapshot")
 
 
 @dataclass
@@ -175,8 +172,7 @@ def _basic_scalar(game, hooks, deadline, stats) -> bytearray:
         alpha = p & 1
         if hooks:
             hooks.on_pass(p)
-        zs = z[lo:hi]  # pass-start snapshot of the only flags that can move
-        changed = False
+        adds = []
         for v in range(lo, hi):
             if z[v]:
                 continue
@@ -186,17 +182,17 @@ def _basic_scalar(game, hooks, deadline, stats) -> bytearray:
             ow = own[v]
             res = 1 - ow
             for u in succ[v]:
-                zu = zs[u - lo] if lo <= u < hi else z[u]
-                if (par[u] ^ zu) == ow:
+                if (par[u] ^ z[u]) == ow:
                     res = ow
                     break
             if res != alpha:
-                z[v] = 1
-                changed = True
-                stats.additions += 1
+                adds.append(v)
                 if hooks:
                     hooks.on_add(v, p)
-        if changed:
+        if adds:
+            for v in adds:
+                z[v] = 1
+            stats.additions += len(adds)
             stats.resets += 1
             for w in range(lo):
                 if z[w]:
@@ -209,7 +205,7 @@ def _basic_scalar(game, hooks, deadline, stats) -> bytearray:
     return z
 
 
-def _freezing_scalar(game, opts, hooks, deadline, stats):
+def _freezing_scalar(game, hooks, deadline, stats):
     n = game.n
     succ = game.successors
     par = game._parity_ints
@@ -220,7 +216,6 @@ def _freezing_scalar(game, opts, hooks, deadline, stats):
     f = bytearray(n) if d <= 254 else [0] * n
     st = array("i", [-1]) * n
     stats.state_bytes = n + n + st.itemsize * n
-    snapshot = opts.pass_semantics == "snapshot"
     levels = game.levels
     li = 0
     while li < len(levels):
@@ -230,8 +225,7 @@ def _freezing_scalar(game, opts, hooks, deadline, stats):
         alpha = p & 1
         if hooks:
             hooks.on_pass(p)
-        zs = z[lo:hi] if snapshot else None
-        changed = False
+        adds = []
         for v in range(lo, hi):
             if f[v] or z[v]:
                 continue
@@ -242,22 +236,19 @@ def _freezing_scalar(game, opts, hooks, deadline, stats):
             res = 1 - ow
             choice = -1
             for u in succ[v]:
-                if zs is not None and lo <= u < hi:
-                    zu = zs[u - lo]
-                else:
-                    zu = z[u]
-                if (par[u] ^ zu) == ow:
+                if (par[u] ^ z[u]) == ow:
                     res = ow
                     choice = u
                     break
             st[v] = choice
             if res != alpha:
-                z[v] = 1
-                changed = True
-                stats.additions += 1
+                adds.append(v)
                 if hooks:
                     hooks.on_add(v, p)
-        if changed:
+        if adds:
+            for v in adds:
+                z[v] = 1
+            stats.additions += len(adds)
             stats.resets += 1
             fp = p + 1
             opp = 1 - alpha
@@ -452,10 +443,6 @@ def _pick_engine(engine: str, game: ParityGame, options: SolverOptions, hooks) -
         if engine == "vector":
             raise ValueError("instrumentation hooks require the scalar engine")
         return "scalar"
-    if options.pass_semantics == "in_place":
-        if engine == "vector":
-            raise ValueError("in_place passes require the scalar engine")
-        return "scalar"
     if options.mode == "basic":
         if engine == "vector":
             raise ValueError("basic mode requires the scalar engine")
@@ -488,7 +475,7 @@ def solve_detailed(
     if opts.mode == "basic":
         z = _basic_scalar(sorted_game, hooks, deadline, stats)
     elif eng == "scalar":
-        z, st = _freezing_scalar(sorted_game, opts, hooks, deadline, stats)
+        z, st = _freezing_scalar(sorted_game, hooks, deadline, stats)
     else:
         z, st = _freezing_vector(sorted_game, deadline, stats)
     stats.wall_time_s = time.perf_counter() - t0

@@ -173,9 +173,10 @@ def verify(game: ParityGame, sol: Solution) -> VerificationReport:
     lowlink = [0] * game.n
     on_stack = bytearray(game.n)
     for player in (Player.EVEN, Player.ODD):
-        region = {v for v in range(game.n) if sol.winner[v] is player}
+        members = [v for v in range(game.n) if sol.winner[v] is player]
+        region = set(members)
         adj: dict[int, list[int]] = {}
-        for v in region:
+        for v in members:
             if game.owner[v] is player:
                 s = sol.strategy[v]
                 if s is None:
@@ -194,7 +195,7 @@ def verify(game: ParityGame, sol: Solution) -> VerificationReport:
                     else:
                         violations.append(EscapeEdge(v, u))
                 adj[v] = kept
-        work: list[list[int]] = [sorted(region)]
+        work: list[list[int]] = [members]
         while work:
             subset = work.pop()
             if not subset:

@@ -74,22 +74,18 @@ def test_criterion_2_golden_g2():
 def test_criterion_3_differential_suite():
     t0 = time.perf_counter()
     count = 10_000
-    snapshot_opts = pf.SolverOptions()
-    in_place_opts = pf.SolverOptions(pass_semantics="in_place")
     for seed in range(count):
         game = suite_game(seed, max_n=40, max_d=6)
         basic = pf.solve_basic(game)
-        snap = pf.solve(game, snapshot_opts)
-        inplace = pf.solve(game, in_place_opts)
+        freezing = pf.solve(game)
         zlk = pf.solve_zielonka(game)
-        assert basic.winner == snap.winner == inplace.winner == zlk.winner, seed
-        assert pf.verify(game, snap).ok, seed
-        assert pf.verify(game, inplace).ok, seed
+        assert basic.winner == freezing.winner == zlk.winner, seed
+        assert pf.verify(game, freezing).ok, seed
         assert pf.verify(game, zlk).ok, seed
     elapsed = time.perf_counter() - t0
     report(
         3,
-        "differential suite: 10000 games, 4 solver configurations, verified",
+        "differential suite: 10000 games, 3 solver configurations, verified",
         elapsed <= 300.0,
         f"({elapsed:.1f} s)",
     )

@@ -83,13 +83,13 @@ class TestSolveCommand:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 4 and all(line.startswith("error:") for line in err)
 
-    def test_in_place(self, g1_path, capsys):
-        assert main(["solve", str(g1_path), "--in-place", "--verify"]) == 0
-
     def test_in_place_rejected_outside_dfi(self, g1_path, capsys):
-        assert main(["solve", str(g1_path), "--solver", "dfi-basic", "--in-place"]) == 3
-        assert main(["solve", str(g1_path), "--solver", "zlk", "--in-place"]) == 3
-        assert "--in-place" in capsys.readouterr().err
+        # the flag is gone: it is an unknown option for every solver, dfi included
+        for solver in ("dfi", "dfi-basic", "zlk"):
+            assert main(["solve", str(g1_path), "--solver", solver, "--in-place"]) == 3
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "--in-place" in captured.err
 
 
 class TestVerifyCommand:
@@ -198,3 +198,12 @@ class TestBenchCommand:
 
     def test_missing_dir(self, tmp_path):
         assert main(["bench", str(tmp_path / "ghost")]) == 2
+
+    @pytest.mark.parametrize(
+        "flags", ["--repetitions 0", "--repetitions -2", "--timeout -1", "--timeout nan"]
+    )
+    def test_invalid_flags(self, g1_path, capsys, flags):
+        assert main(["bench", str(g1_path.parent), *flags.split()]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -140,7 +142,7 @@ class TestSolveFreezing:
 
     def test_options_validation(self):
         with pytest.raises(ValueError):
-            pf.SolverOptions(mode="basic", pass_semantics="in_place")
+            pf.SolverOptions(mode="nope")
         with pytest.raises(ValueError):
             pf.solve_basic(pf.ParityGame([0], [0], [[0]]), engine="vector")
         with pytest.raises(ValueError):
@@ -159,11 +161,9 @@ class TestSolveFreezing:
 def test_region_agreement_across_modes(seed):
     game = seeded_game(seed)
     basic = pf.solve_basic(game)
-    snap = pf.solve(game)
-    inplace = pf.solve(game, pf.SolverOptions(pass_semantics="in_place"))
-    assert basic.winner == snap.winner == inplace.winner
-    assert pf.verify(game, snap).ok
-    assert pf.verify(game, inplace).ok
+    freezing = pf.solve(game)
+    assert basic.winner == freezing.winner
+    assert pf.verify(game, freezing).ok
 
 
 @settings(max_examples=80, deadline=None)
@@ -275,3 +275,76 @@ def test_counters_populated(g2):
     assert out.stats.passes > 0
     assert out.stats.additions > 0
     assert out.stats.wall_time_s >= 0.0
+
+
+class DigestHooks(pf.SolverHooks):
+    """Feeds every hook event, in call order, into one SHA-256."""
+
+    def __init__(self, digest):
+        self.digest = digest
+
+    def _event(self, *fields):
+        self.digest.update((" ".join(map(str, fields)) + "\n").encode())
+
+    def on_pass(self, p):
+        self._event("pass", p)
+
+    def on_evaluate(self, v, p):
+        self._event("evaluate", v, p)
+
+    def on_add(self, v, p):
+        self._event("add", v, p)
+
+    def on_freeze(self, v, p, winner_bit):
+        self._event("freeze", v, p, winner_bit)
+
+    def on_thaw(self, v, p):
+        self._event("thaw", v, p)
+
+    def on_reset(self, v, p):
+        self._event("reset", v, p)
+
+
+# (seed, self-loop probability) of the games whose scalar runs are pinned
+_PINNED_GAMES = [(11, 0.0), (12, 0.0), (13, 0.1), (14, 0.1)]
+
+
+def _pinned_game(seed, self_loop):
+    return seeded_game(seed, max_n=300, max_d=8, self_loop=self_loop)
+
+
+# Recorded from the solver; the basic loop has no second engine to agree
+# with, and no other test looks at the content of the event stream.
+_HOOK_DIGESTS = {
+    "freezing": "4c38754d83fa982d41feef9527daede600c5160efc4b5bcf17949507226294b4",
+    "basic": "857e0d13f61b3e9cefd99ef947e065ccaef33f9ef4bec2f5f747d66582331614",
+}
+
+
+@pytest.mark.parametrize("mode", ["freezing", "basic"])
+def test_hook_event_stream_pinned(mode):
+    digest = hashlib.sha256()
+    for seed, self_loop in _PINNED_GAMES:
+        game = _pinned_game(seed, self_loop)
+        pf.solve(game, pf.SolverOptions(mode=mode), hooks=DigestHooks(digest))
+    assert digest.hexdigest() == _HOOK_DIGESTS[mode]
+
+
+# per game: passes, additions, resets, evaluations and the first 16 hex
+# digits of the SHA-256 of the sorted distractions
+_BASIC_PINNED = {
+    (11, 0.0): (111, 251, 68, 956, "1e9ab7a9ecd635db"),
+    (12, 0.0): (2814, 7981, 1527, 24199, "858407aabb295fd8"),
+    (13, 0.1): (279, 898, 174, 3667, "ed208ee4c760e79b"),
+    (14, 0.1): (24948, 123405, 16252, 444805, "245987e5dd9e13a3"),
+}
+
+
+def test_basic_mode_pinned():
+    got = {}
+    for seed, self_loop in _PINNED_GAMES:
+        out = pf.solve_detailed(_pinned_game(seed, self_loop), pf.SolverOptions(mode="basic"))
+        st = out.stats
+        distractions = hashlib.sha256(repr(sorted(out.distractions)).encode()).hexdigest()[:16]
+        got[seed, self_loop] = (st.passes, st.additions, st.resets, st.evaluations, distractions)
+    assert got == _BASIC_PINNED

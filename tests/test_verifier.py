@@ -54,6 +54,22 @@ class TestExamples:
         assert not report.ok
         assert any(isinstance(v, pf.MissingStrategy) for v in report.violations)
 
+    def test_violations_in_vertex_order(self):
+        # self-loops only; Odd owns and claims 0, 5 and 8 but names no moves
+        odd = {0, 5, 8}
+        n = 10
+        game = pf.ParityGame(
+            [1 if v in odd else 0 for v in range(n)],
+            [1 if v in odd else 0 for v in range(n)],
+            [[v] for v in range(n)],
+        )
+        claimed = pf.Solution(
+            tuple(Player.ODD if v in odd else Player.EVEN for v in range(n)),
+            tuple(None if v in odd else v for v in range(n)),
+        )
+        report = pf.verify(game, claimed)
+        assert report.violations == tuple(pf.MissingStrategy(v) for v in (0, 5, 8))
+
     def test_escape_edge_reported(self):
         # Odd-owned vertex claimed for Even, but it can walk to the Odd side
         game = pf.ParityGame([0, 1], [1, 1], [[0, 1], [1]])
