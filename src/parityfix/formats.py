@@ -299,6 +299,7 @@ def parse_solution(text: str | bytes, game: ParityGame) -> Solution:
     winner: list[Player | None] = [None] * game.n
     strategy: list[int | None] = [None] * game.n
     header_seen = False
+    records = 0
     for lineno, raw in enumerate(_lines(text), start=1):
         sc = _LineScanner(raw, lineno)
         if sc.at_end():
@@ -306,11 +307,13 @@ def parse_solution(text: str | bytes, game: ParityGame) -> Solution:
         if sc.peek().isalpha():
             word_pos = sc.pos
             word = sc.take_word()
-            if word != "paritysol" or header_seen:
+            if word != "paritysol" or header_seen or records:
                 sc.pos = word_pos
                 sc.fail("unexpected keyword")
             sc.take_int("max vertex id")
             sc.take_char(";")
+            if not sc.at_end():
+                sc.fail("trailing characters after header")
             header_seen = True
             continue
         vid = sc.take_int("vertex id")
@@ -331,6 +334,7 @@ def parse_solution(text: str | bytes, game: ParityGame) -> Solution:
         sc.take_char(";")
         if not sc.at_end():
             sc.fail("trailing characters after record")
+        records += 1
     for v, w in enumerate(winner):
         if w is None:
             raise ParseError(0, 0, f"vertex id {game.original_id[v]} has no assignment")

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -63,6 +64,17 @@ class DuplicateEdgeError(ValidationError):
         self.vertex = vertex
         self.target = target
         super().__init__(f"duplicate edge {vertex} -> {target}")
+
+
+def _positions(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """CSR positions of ``rows``, row after row, and the row bounds within them."""
+    starts = indptr[rows]
+    counts = indptr[rows + 1] - starts
+    bounds = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum(counts, out=bounds[1:])
+    pos = np.arange(bounds[-1], dtype=np.int64)
+    pos += np.repeat(starts - bounds[:-1], counts)
+    return pos, bounds
 
 
 class ParityGame:
@@ -125,12 +137,16 @@ class ParityGame:
 
     @cached_property
     def predecessors(self) -> tuple[tuple[int, ...], ...]:
-        """Reverse adjacency, built lazily and cached."""
-        preds: list[list[int]] = [[] for _ in range(self.n)]
-        for v, succ in enumerate(self.successors):
-            for u in succ:
-                preds[u].append(v)
-        return tuple(tuple(p) for p in preds)
+        """Reverse adjacency, built lazily and cached.
+
+        Each vertex's predecessors come in ascending order, read off the
+        reverse CSR, whose stable sort keeps the sources of a target in
+        edge order.
+        """
+        rev_indptr, sources = self._reverse_csr
+        src = sources.tolist()
+        bounds = rev_indptr.tolist()
+        return tuple(tuple(src[a:b]) for a, b in zip(bounds, bounds[1:]))
 
     @cached_property
     def is_priority_sorted(self) -> bool:
@@ -154,12 +170,9 @@ class ParityGame:
         if n >= 2**31:
             raise ValueError("games this large are not supported")
         indptr = np.zeros(n + 1, dtype=np.int64)
-        for v, succ in enumerate(self.successors):
-            indptr[v + 1] = indptr[v] + len(succ)
+        np.cumsum(np.fromiter(map(len, self.successors), dtype=np.int64, count=n), out=indptr[1:])
         targets = np.fromiter(
-            (u for succ in self.successors for u in succ),
-            dtype=np.int32,
-            count=int(indptr[-1]),
+            chain.from_iterable(self.successors), dtype=np.int32, count=int(indptr[-1])
         )
         counts = np.diff(indptr)
         edge_owner = np.repeat(self._owner_bits, counts)

@@ -55,7 +55,15 @@ from typing import Literal
 
 import numpy as np
 
-from .game import ParityGame, Player, Solution, SolveTimeoutError, SortPermutation, sort_by_priority
+from .game import (
+    ParityGame,
+    Player,
+    Solution,
+    SolveTimeoutError,
+    SortPermutation,
+    _positions,
+    sort_by_priority,
+)
 
 # engine="auto" runs games of at most this many vertices on the scalar engine;
 # at this size both engines take about the same time (seeded d=6 games)
@@ -290,17 +298,6 @@ def _flag_layout(levels: int) -> tuple[str, int]:
     if levels <= 16383:
         return "H", 15
     return "I", 31
-
-
-def _positions(indptr, rows):
-    """CSR positions of ``rows``, row after row, and the row bounds within them."""
-    starts = indptr[rows]
-    counts = indptr[rows + 1] - starts
-    bounds = np.zeros(len(rows) + 1, dtype=np.int64)
-    np.cumsum(counts, out=bounds[1:])
-    pos = np.arange(bounds[-1], dtype=np.int64)
-    pos += np.repeat(starts - bounds[:-1], counts)
-    return pos, bounds
 
 
 def _eval_indices(indptr, targets, edge_owner, owner_bits, par, flags, zshift, gidx):

@@ -46,3 +46,38 @@ def reachable(game: pf.ParityGame, start: int) -> frozenset[int]:
                 seen.add(u)
                 frontier.append(u)
     return frozenset(seen)
+
+
+def sequential_self_loops(game: pf.ParityGame):
+    """Self-loop elimination one loop at a time, each with its own attractor.
+
+    Returns (winner, strategy, alive, dropped): the decided vertices' winners
+    and strategies, the undecided mask, and the loop vertices whose hostile
+    loop the residual drops.  Built on ``pf.attract``, not on the production
+    preprocessing.
+    """
+    alive = [True] * game.n
+    winner: dict[int, pf.Player] = {}
+    strategy: dict[int, int] = {}
+    loopers = [v for v in range(game.n) if v in game.successors[v]]
+    changed = True
+    while changed:
+        changed = False
+        for v in loopers:
+            if not alive[v]:
+                continue
+            beta = pf.Player.of_parity(game.priority[v])
+            if beta is game.owner[v]:
+                region, strat = pf.attract(game, alive, beta, [v], prior_strategy={v: v})
+                strategy[v] = v
+            elif any(alive[u] for u in game.successors[v] if u != v):
+                continue
+            else:
+                region, strat = pf.attract(game, alive, beta, [v])
+            strategy.update(strat)
+            for w in region:
+                winner[w] = beta
+                alive[w] = False
+            changed = True
+    dropped = {v for v in loopers if alive[v]}
+    return winner, strategy, alive, dropped

@@ -261,3 +261,15 @@ class TestSolutionFormat:
     def test_parse_solution_unknown_id(self, g1):
         with pytest.raises(pf.ParseError):
             pf.parse_solution("5 0;", g1)
+
+    def test_parse_solution_rejects_header_junk(self, g1):
+        with pytest.raises(pf.ParseError) as err:
+            pf.parse_solution("paritysol 1; junk\n0 0 1;\n1 0;\n", g1)
+        assert (err.value.line, err.value.column) == (1, 14)
+        assert "trailing characters after header" in str(err.value)
+
+    def test_parse_solution_rejects_late_header(self, g1):
+        with pytest.raises(pf.ParseError) as err:
+            pf.parse_solution("0 0 1;\nparitysol 1;\n1 0;\n", g1)
+        assert (err.value.line, err.value.column) == (2, 1)
+        assert "unexpected keyword" in str(err.value)

@@ -123,3 +123,20 @@ def test_priority_bounds_and_left_totality(seed):
     for v in range(game.n):
         assert 0 <= game.priority[v] <= d
         assert len(game.successors[v]) >= 1
+
+
+class TestArrays:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10**9))
+    def test_predecessors_match_per_edge_build(self, seed):
+        game = seeded_game(seed, max_n=300, max_d=8, self_loop=0.2)
+        preds: list[list[int]] = [[] for _ in range(game.n)]
+        for v, succ in enumerate(game.successors):
+            for u in succ:
+                preds[u].append(v)
+        assert game.predecessors == tuple(map(tuple, preds))
+
+    def test_empty_game_arrays(self):
+        game = pf.ParityGame([], [], [])
+        assert game.predecessors == ()
+        assert game._csr[0].tolist() == [0]

@@ -1,8 +1,9 @@
 from hypothesis import given, settings, strategies as st
 
 import parityfix as pf
-from parityfix import Player
+from parityfix import Player, preprocess
 
+from _oracles import sequential_self_loops
 from conftest import seeded_game
 
 
@@ -116,3 +117,65 @@ def test_decided_regions_are_loser_closed(seed):
                 for v in alive
             ],
         )
+
+
+@st.composite
+def loop_games(draw):
+    n = draw(st.integers(1, 3000))
+    params = pf.GenParams(
+        n=n,
+        max_priority=draw(st.integers(0, 8)),
+        outdegree_lo=1,
+        outdegree_hi=min(n, draw(st.integers(1, 4))),
+        self_loop_probability=draw(st.sampled_from([0.0, 0.05, 0.1, 0.25, 0.5])),
+        seed=draw(st.integers(0, 10**9)),
+    )
+    return pf.random_game(params)
+
+
+@settings(max_examples=60, deadline=None)
+@given(loop_games())
+def test_self_loops_match_sequential_reference(game):
+    """Batched rounds decide what one attractor per loop decides."""
+    winner, _, alive, dropped = sequential_self_loops(game)
+    partial, residual = pf.eliminate_self_loops(game)
+    assert partial.decided == frozenset(winner)
+    assert partial.winner == winner
+    assert partial.residual.alive == tuple(alive)
+    kept = [v for v in range(game.n) if alive[v]]
+    assert partial.to_parent.tolist() == kept
+    index = {v: i for i, v in enumerate(kept)}
+    assert residual.successors == tuple(
+        tuple(index[u] for u in game.successors[v] if alive[u] and not (u == v and v in dropped))
+        for v in kept
+    )
+    for v, u in partial.strategy.items():
+        assert u in game.successors[v] and partial.winner.get(u) is partial.winner[v]
+    assert all(
+        v in partial.strategy for v in partial.decided if game.owner[v] is partial.winner[v]
+    )
+    partials, rest = pf.apply_preprocessing(game)
+    assert pf.verify(game, pf.compose_solution(partials, pf.solve(rest))).ok
+
+
+def _hostile_chain(n: int) -> pf.ParityGame:
+    """Even-owned odd loops: v0 has only its loop, each later v_i also
+    moves to v_{i-1}, so every loop is stuck once its predecessor falls."""
+    return pf.ParityGame([1] * n, [0] * n, [[0]] + [[i, i - 1] for i in range(1, n)])
+
+
+def test_hostile_loop_chain_decided_by_one_attractor(monkeypatch):
+    """A loop left stuck joins the attractor that cornered it, so a chain
+    of n hostile loops costs one attractor, not n."""
+    calls = []
+    attract = preprocess._attract
+    monkeypatch.setattr(
+        preprocess, "_attract", lambda *args: calls.append(args[3]) or attract(*args)
+    )
+    game = _hostile_chain(20_000)
+    partial, residual = pf.eliminate_self_loops(game)
+    assert calls == [1]
+    assert residual.n == 0
+    assert set(partial.winner.values()) == {Player.ODD}
+    winner, _, _, _ = sequential_self_loops(_hostile_chain(60))
+    assert pf.eliminate_self_loops(_hostile_chain(60))[0].winner == winner
