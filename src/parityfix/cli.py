@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
+import json
 import sys
 import time
 from pathlib import Path
@@ -101,6 +103,8 @@ def _cmd_solve(args) -> int:
         )
     except SolveTimeoutError as exc:
         print(f"error: {exc} (--timeout {args.timeout:g})", file=sys.stderr)
+        if args.stats and exc.stats is not None:
+            _print_stats(exc.stats, timed_out=True)
         return EXIT_TIMEOUT
     if args.verify:
         report = verify(game, solution)
@@ -118,13 +122,13 @@ def _cmd_solve(args) -> int:
     else:
         sys.stdout.write(text)
     if args.stats and stats is not None:
-        print(
-            f"passes={stats.passes} additions={stats.additions} resets={stats.resets} "
-            f"freezes={stats.freezes} evaluations={stats.evaluations} "
-            f"time_s={stats.wall_time_s:.6f}",
-            file=sys.stderr,
-        )
+        _print_stats(stats, timed_out=False)
     return EXIT_OK
+
+
+def _print_stats(stats: SolverStats, *, timed_out: bool) -> None:
+    """The DFI solver's counters as one JSON object on stderr."""
+    print(json.dumps({**dataclasses.asdict(stats), "timed_out": timed_out}), file=sys.stderr)
 
 
 def _cmd_verify(args) -> int:
@@ -255,7 +259,9 @@ def build_parser() -> _Parser:
     p_solve.add_argument("--no-preprocess", action="store_true")
     p_solve.add_argument("--verify", action="store_true", help="check the solution before writing")
     p_solve.add_argument("-o", "--output")
-    p_solve.add_argument("--stats", action="store_true", help="print solver counters to stderr")
+    p_solve.add_argument(
+        "--stats", action="store_true", help="print the DFI counters to stderr as one JSON object"
+    )
     p_solve.add_argument(
         "--timeout", type=float, metavar="SECONDS", help="solver deadline; exit 4 when it passes"
     )

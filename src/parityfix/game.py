@@ -43,7 +43,13 @@ class ValidationError(Exception):
 
 
 class SolveTimeoutError(Exception):
-    """A solver's cooperative deadline passed before it finished."""
+    """A solver's cooperative deadline passed before it finished.
+
+    ``stats`` holds the DFI solver's counters up to that point (a
+    ``SolverStats``); the other solvers leave it ``None``.
+    """
+
+    stats = None
 
 
 class SinkVertexError(ValidationError):

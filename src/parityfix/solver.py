@@ -31,19 +31,31 @@ result depends only on its successors' winner bits, so it is re-evaluated
 only when it is dirty: every vertex starts dirty, a reset vertex becomes
 dirty, and so does every predecessor of a vertex that is added to Z or
 reset.  A pass evaluates the unfrozen, non-Z dirty vertices of its level and
-clears their dirty bits; a pass that finds none costs a few numpy calls.
-Frozen vertices keep their dirty bit until they are thawed.  A dirty set
-of at most ``_K`` vertices is evaluated, and its additions' predecessors
-marked, in a Python loop; a larger set goes through a numpy gather over the
-CSR edge arrays and a reverse-CSR scatter.  Freezes, resets and thaws are
-numpy sweeps over the levels below the current one.
+clears their dirty bits.  Frozen vertices keep their dirty bit until they
+are thawed.  A dirty set of at most ``_K`` vertices is evaluated, and its
+additions' predecessors marked, in a Python loop; a larger set goes through
+a numpy gather over the CSR edge arrays and a reverse-CSR scatter.
 
-Its state is one flags word and one int32 strategy slot per vertex, each
-a Python ``array`` shared with a numpy view of the same memory.  A flags
-word holds, from the top bit down, the z bit, the dirty bit and a freeze
-field with the freezing level's index + 1 (0: not frozen); it is 8 bits
-wide up to 63 levels, then 16, then 32.  A winner bit is read as
-``parity ^ z``.
+Its state is one flags word and one int32 strategy slot per vertex.  A
+flags word holds, from the top bit down, the estimated winner bit (parity
+^ z), the dirty bit and a freeze field with the freezing level's index + 1
+(0: not frozen).  The evaluators read winner bits straight off the words,
+and z is recovered as ``winner ^ parity`` at the end.  At a level of parity
+alpha the vertices to evaluate are exactly those whose word equals
+``alpha << top | dirty``: won by alpha (so not in Z), dirty and unfrozen.
+
+Up to 63 levels (distinct priorities) the word is one
+byte in a ``bytearray``, and selecting, freezing, resetting and thawing are
+C-level byte operations over it (``_byte_helpers``): ``count`` and ``find``
+list a level's vertices to evaluate; one ``translate`` per run of
+same-parity lower levels freezes and resets them, with 256-byte tables
+built once per solve; one ``translate`` thaws.  These cost a few
+microseconds per pass over thousands of vertices, where numpy calls cost
+that much each.  With more levels the word is 16 bits wide (32 above 16383
+levels), which the byte operations cannot address, so the same pass loop
+calls numpy sweeps instead (``_wide_helpers``); a second per-vertex byte
+buffer would add to the state the solver keeps.  Both containers are
+shared with a numpy view of the same memory for the large-set branches.
 """
 
 from __future__ import annotations
@@ -68,9 +80,11 @@ from .game import (
 # engine="auto" runs games of at most this many vertices on the scalar engine;
 # at this size both engines take about the same time (seeded d=6 games)
 _SCALAR_LIMIT = 750
-# The vector engine evaluates a dirty set of at most this many vertices in a
-# Python loop and a larger one with numpy; the same split decides how the
-# predecessors of changed vertices are marked.
+# The vector engine lists a dirty set of at most this many vertices in
+# Python (``find`` on the byte layout) and evaluates it in a Python loop; a
+# larger set is listed and evaluated with numpy.  The same split decides how
+# the predecessors of changed vertices are marked.  Measured on the two
+# core-10k games: see ROADMAP item 2.
 _K = 64
 
 
@@ -288,10 +302,10 @@ def _freezing_scalar(game, hooks, deadline, stats):
 
 
 def _flag_layout(levels: int) -> tuple[str, int]:
-    """Typecode of the flags word and the shift of its z bit.
+    """Typecode of the flags word and the shift of its winner bit.
 
-    Below the z bit sits the dirty bit, and below that a freeze field wide
-    enough for the level index + 1.
+    Below the winner bit sits the dirty bit, and below that a freeze field
+    wide enough for the level index + 1.
     """
     if levels <= 63:
         return "B", 7
@@ -300,16 +314,16 @@ def _flag_layout(levels: int) -> tuple[str, int]:
     return "I", 31
 
 
-def _eval_indices(indptr, targets, edge_owner, owner_bits, par, flags, zshift, gidx):
+def _eval_indices(indptr, targets, edge_owner, owner_bits, flags, wshift, gidx):
     """One-step evaluation of the vertices listed in ``gidx`` against the
-    winner bits ``par ^ z`` read from ``flags``.
+    winner bits read from ``flags``.
 
     Returns (first winning successor or -1, one-step winner bit), aligned
     with ``gidx``.
     """
     pos, bounds = _positions(indptr, gidx)
     tg = targets[pos]
-    good = (par[tg] ^ (flags[tg] >> zshift)) == edge_owner[pos]
+    good = (flags[tg] >> wshift) == edge_owner[pos]
     hits = np.flatnonzero(good)
     fh = np.searchsorted(hits, bounds[:-1], side="left")
     eh = np.empty_like(fh)
@@ -327,28 +341,124 @@ def _eval_indices(indptr, targets, edge_owner, owner_bits, par, flags, zshift, g
     return stratvals, osbit
 
 
+def _byte_helpers(fl, flags, levels):
+    """Select, sweep and thaw on the one-byte flags word ``fl``, as byte
+    operations (``count``, ``find``, ``translate``).
+
+    ``select(want, lo, hi)`` lists the vertices of ``[lo, hi)`` whose word
+    equals ``want``: a list of at most ``_K``, else an index array.
+    ``sweep(li, lo, lose)`` freezes and resets ``[0, lo)`` after level
+    ``li`` added distractions and returns the number of freezes; ``lose``
+    is the word of an unfrozen vertex won by the opponent of the level's
+    player, and each reset vertex is left as ``lose | dirty``.
+    ``thaw(li, lo)`` unfreezes the vertices frozen by level ``li``.
+    """
+    dirty = 0x40
+    codes = np.arange(256)
+    free = (codes & 0x3F) == 0
+    won = codes >> 7
+    sweeps = []  # per level index: (lo, hi, table) over runs of lower levels
+    thaws = []
+    for li, (p, _, _) in enumerate(levels):
+        alpha = p & 1
+        frozen = np.where(free & (won != alpha), codes | (li + 1), codes)
+        same = frozen.astype(np.uint8).tobytes()
+        # at levels of the other parity a vertex won by the level's player
+        # is in Z, and is reset
+        reset = np.where(free & (won == alpha), (1 - alpha) << 7 | dirty, frozen)
+        other = reset.astype(np.uint8).tobytes()
+        runs = []
+        for q, a, b in levels[:li]:
+            tab = same if (q & 1) == alpha else other
+            if runs and runs[-1][2] is tab:
+                runs[-1] = (runs[-1][0], b, tab)
+            else:
+                runs.append((a, b, tab))
+        sweeps.append(runs)
+        thawed = np.where((codes & 0x3F) == li + 1, codes & 0xC0, codes)
+        thaws.append(thawed.astype(np.uint8).tobytes())
+
+    count, find = fl.count, fl.find
+
+    def select(want, lo, hi):
+        k = count(want, lo, hi)
+        if k > _K:
+            return np.flatnonzero(flags[lo:hi] == want) + lo
+        out = []
+        v = lo - 1
+        for _ in range(k):
+            v = find(want, v + 1, hi)
+            out.append(v)
+        return out
+
+    def sweep(li, lo, lose):
+        # freezes are counted at the event, so partial stats stay honest
+        nfr = count(lose, 0, lo) + count(lose | dirty, 0, lo)
+        for a, b, tab in sweeps[li]:
+            fl[a:b] = fl[a:b].translate(tab)
+        return nfr
+
+    def thaw(li, lo):
+        fl[:lo] = fl[:lo].translate(thaws[li])
+
+    return select, sweep, thaw
+
+
+def _wide_helpers(flags, parb, wshift):
+    """Select, sweep and thaw as numpy sweeps over a 16- or 32-bit flags
+    word; the same contracts as ``_byte_helpers``."""
+    wbit = 1 << wshift
+    dirty = wbit >> 1
+    field = dirty - 1
+
+    def select(want, lo, hi):
+        sel = np.flatnonzero(flags[lo:hi] == want) + lo
+        return sel if len(sel) > _K else sel.tolist()
+
+    def sweep(li, lo, lose):
+        low = flags[:lo]
+        unfrozen = (low & field) == 0
+        opp_won = (low >> wshift) == (lose >> wshift)
+        fr = unfrozen & opp_won
+        nfr = int(np.count_nonzero(fr))
+        np.bitwise_or(low, li + 1, out=low, where=fr)
+        # reset: unfrozen Z vertices that the level's player now wins
+        np.copyto(low, lose | dirty, where=unfrozen & ~opp_won & (parb[:lo] == lose >> wshift))
+        return nfr
+
+    def thaw(li, lo):
+        low = flags[:lo]
+        np.bitwise_and(low, wbit | dirty, out=low, where=(low & field) == li + 1)
+
+    return select, sweep, thaw
+
+
 def _freezing_vector(game, deadline, stats):
     n = game.n
     succ = game.successors
     pred = game.predecessors
-    par = game._parity_ints
     own = game._owner_ints
     parb = game._parity_bits
     owner_bits = game._owner_bits
     indptr, targets, edge_owner = game._csr
     rev_indptr, sources = game._reverse_csr
     levels = game.levels
-    code, zshift = _flag_layout(len(levels))
-    zbit = 1 << zshift
-    dirty = zbit >> 1
-    field = dirty - 1  # freeze field mask
-    # Python arrays for per-vertex reads and writes, numpy views of the same
+    code, wshift = _flag_layout(len(levels))
+    wbit = 1 << wshift
+    dirty = wbit >> 1
+    # every vertex starts dirty and won by the player of its parity; Python
+    # containers for per-vertex reads and writes, numpy views of the same
     # memory for sweeps
-    fl = array(code, [dirty]) * n
+    word = (parb.astype(code) << wshift | dirty).tobytes()
+    fl = bytearray(word) if code == "B" else array(code, word)
     st = array("i", [-1]) * n
     flags = np.frombuffer(fl, dtype=code)
     strat = np.frombuffer(st, dtype=np.int32)
     stats.state_bytes = flags.nbytes + strat.nbytes
+    if code == "B":
+        select, sweep, thaw = _byte_helpers(fl, flags, levels)
+    else:
+        select, sweep, thaw = _wide_helpers(flags, parb, wshift)
 
     def mark_predecessors(vs):
         """Mark dirty the predecessors of ``vs``, whose winner bits just changed.
@@ -363,70 +473,56 @@ def _freezing_vector(game, deadline, stats):
             pos, _ = _positions(rev_indptr, vs)
             flags[sources[pos]] |= dirty
 
-    frozen_at = [0] * len(levels)  # live frozen count per freezing level, to skip no-op thaws
     li = 0
     while li < len(levels):
         _check_deadline(deadline)
         stats.passes += 1
         p, lo, hi = levels[li]
         alpha = p & 1
-        sel = (flags[lo:hi] == dirty).nonzero()[0]
+        keep = alpha << wshift  # evaluated and still won by the level's player
+        lose = keep ^ wbit  # added to Z: won by the opponent
+        sel = select(keep | dirty, lo, hi)
         stats.evaluations += len(sel)
-        if len(sel) <= _K:
-            # every vertex is evaluated before any z bit moves: snapshot semantics
+        if type(sel) is list:
+            # every vertex is evaluated before any winner bit moves: snapshot semantics
             adds = []
-            for i in sel.tolist():
-                v = lo + i
+            for v in sel:
                 ow = own[v]
                 choice = -1
                 for u in succ[v]:
-                    if (par[u] ^ (fl[u] >> zshift)) == ow:
+                    if fl[u] >> wshift == ow:
                         choice = u
                         break
                 st[v] = choice
-                fl[v] = 0
+                fl[v] = keep
                 if (ow if choice >= 0 else 1 - ow) != alpha:
                     adds.append(v)
             for v in adds:
-                fl[v] = zbit
+                fl[v] = lose
             mark_predecessors(adds)
             added = len(adds)
         else:
-            gidx = sel + lo
             stratvals, osbit = _eval_indices(
-                indptr, targets, edge_owner, owner_bits, parb, flags, zshift, gidx
+                indptr, targets, edge_owner, owner_bits, flags, wshift, sel
             )
-            strat[gidx] = stratvals
-            flags[gidx] = 0
-            add = gidx[osbit != alpha]
-            flags[add] = zbit
+            strat[sel] = stratvals
+            flags[sel] = keep
+            add = sel[osbit != alpha]
+            flags[add] = lose
             mark_predecessors(add)
             added = len(add)
         if added:
             stats.additions += added
             stats.resets += 1
             if lo:
-                low = flags[:lo]
-                unfrozen = (low & field) == 0
-                opp_now = (parb[:lo] ^ (low >> zshift)) != alpha
-                fr = unfrozen & opp_now
-                nfr = int(np.count_nonzero(fr))
-                if nfr:
-                    np.bitwise_or(low, li + 1, out=low, where=fr)
-                    stats.freezes += nfr
-                    frozen_at[li] += nfr
-                # reset: unfrozen Z vertices that the current level's player now wins
-                rs = (unfrozen & ~opp_now & (low >= zbit)).nonzero()[0]
-                low[rs] = dirty
-                mark_predecessors(rs)
+                stats.freezes += sweep(li, lo, lose)
+                mark_predecessors(select(lose | dirty, 0, lo))
             li = 0
         else:
-            if frozen_at[li]:
-                low = flags[:lo]
-                np.bitwise_and(low, zbit | dirty, out=low, where=(low & field) == li + 1)
-                frozen_at[li] = 0
+            if lo:
+                thaw(li, lo)
             li += 1
-    z = (flags >> zshift).astype(np.uint8).tobytes()
+    z = ((flags >> wshift).astype(np.uint8) ^ parb).tobytes()
     return z, st
 
 
@@ -459,7 +555,8 @@ def solve_detailed(
     """Full solve with stats and the final distraction set.
 
     The input is sorted by priority internally when needed; all results are
-    reported in the input's vertex order.
+    reported in the input's vertex order.  A ``SolveTimeoutError`` carries
+    the run's stats so far as ``exc.stats``.
     """
     opts = options or SolverOptions()
     sorted_game, perm = sort_by_priority(game)
@@ -469,12 +566,17 @@ def solve_detailed(
     deadline = t0 + opts.timeout_s if opts.timeout_s is not None else None
 
     st = None
-    if opts.mode == "basic":
-        z = _basic_scalar(sorted_game, hooks, deadline, stats)
-    elif eng == "scalar":
-        z, st = _freezing_scalar(sorted_game, hooks, deadline, stats)
-    else:
-        z, st = _freezing_vector(sorted_game, deadline, stats)
+    try:
+        if opts.mode == "basic":
+            z = _basic_scalar(sorted_game, hooks, deadline, stats)
+        elif eng == "scalar":
+            z, st = _freezing_scalar(sorted_game, hooks, deadline, stats)
+        else:
+            z, st = _freezing_vector(sorted_game, deadline, stats)
+    except SolveTimeoutError as exc:
+        stats.wall_time_s = time.perf_counter() - t0
+        exc.stats = stats
+        raise
     stats.wall_time_s = time.perf_counter() - t0
 
     par = sorted_game._parity_ints

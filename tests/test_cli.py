@@ -1,3 +1,4 @@
+import json
 import os
 
 import pytest
@@ -52,8 +53,12 @@ class TestSolveCommand:
         assert code == 0
         captured = capsys.readouterr()
         assert out_file.read_text() == "paritysol 1;\n0 0 1;\n1 0 0;\n"
-        assert "passes=" in captured.err
-        assert "evaluations=" in captured.err
+        record = json.loads(captured.err)
+        assert set(record) == {
+            "passes", "additions", "resets", "freezes", "evaluations",
+            "wall_time_s", "state_bytes", "timed_out",
+        }
+        assert record["passes"] > 0 and record["timed_out"] is False
 
     def test_no_preprocess_same_answer(self, g1_path, capsys):
         assert main(["solve", str(g1_path)]) == 0
@@ -72,6 +77,22 @@ class TestSolveCommand:
             assert captured.out == ""
             assert captured.err.startswith("error:")
         assert main(["solve", str(game_path), "--timeout", "60", "--verify"]) == 0
+
+    def test_timeout_prints_partial_stats(self, tmp_path, capsys):
+        game_path = tmp_path / "loop_free.pg"
+        gen = ["gen", "--n", "300", "--d", "6", "--self-loops", "0", "--seed", "3"]
+        assert main([*gen, "-o", str(game_path)]) == 0
+        capsys.readouterr()
+        assert main(["solve", str(game_path), "--timeout", "0", "--stats"]) == 4
+        error, stats = capsys.readouterr().err.splitlines()
+        assert error.startswith("error:")
+        record = json.loads(stats)
+        assert record["timed_out"] is True
+        assert record["passes"] == 0
+        assert record["state_bytes"] > 0
+        # the other solvers keep no DFI counters
+        assert main(["solve", str(game_path), "--solver", "zlk", "--timeout", "0", "--stats"]) == 4
+        assert len(capsys.readouterr().err.splitlines()) == 1
 
     def test_non_utf8_input(self, g1_path, tmp_path, capsys):
         bad = tmp_path / "bad.pg"

@@ -1,10 +1,12 @@
 import hashlib
+import types
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import parityfix as pf
 from parityfix import Player
+from parityfix import solver as solver_module
 
 from conftest import seeded_game
 
@@ -210,6 +212,90 @@ def test_vector_engine_huge_priorities():
     vector = pf.solve(game, engine="vector")
     assert vector == pf.solve(game, engine="scalar")
     assert pf.verify(game, vector).ok
+
+
+def _leveled_game(seed: int, levels: int) -> pf.ParityGame:
+    """Seeded game whose priorities take exactly ``levels`` distinct values.
+
+    Vertex v < ``levels`` has priority v, and three in four of those are
+    owned by the player of their parity and move to themselves first, so
+    they never become distractions and the pass count stays small.  The 80
+    further vertices share priority 0, a level larger than ``_K``.
+    """
+    n = levels + 80
+    base = pf.random_game(
+        pf.GenParams(n=n, max_priority=0, outdegree_lo=1, outdegree_hi=3,
+                     self_loop_probability=0.0, seed=seed)
+    )
+    rng = pf.SplitMix64(seed)
+    priority, owner, successors = [], [], []
+    for v in range(n):
+        succ = list(base.successors[v])
+        if v < levels and rng.below(4):
+            priority.append(v)
+            owner.append(v & 1)
+            successors.append([v] + [u for u in succ if u != v])
+        else:
+            priority.append(v if v < levels else 0)
+            owner.append(base.owner[v])
+            successors.append(succ)
+    return pf.ParityGame(priority, owner, successors)
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(0, 10**9), st.integers(64, 300))
+def test_engines_bit_identical_wide_layout(seed, levels):
+    # more than 63 levels: the 16-bit flags word and its numpy helpers
+    game = _leveled_game(seed, levels)
+    scalar = pf.solve_detailed(game, engine="scalar")
+    vector = pf.solve_detailed(game, engine="vector")
+    assert len(vector.sorted_game.levels) == levels
+    assert vector.stats.state_bytes == game.n * 6
+    assert _run_record(vector) == _run_record(scalar)
+
+
+@pytest.mark.parametrize("levels, word_bytes", [(63, 1), (64, 2)])
+def test_flag_layout_boundary(levels, word_bytes):
+    for seed in range(8):
+        game = _leveled_game(seed, levels)
+        scalar = pf.solve_detailed(game, engine="scalar")
+        vector = pf.solve_detailed(game, engine="vector")
+        assert vector.stats.state_bytes == game.n * (word_bytes + 4)
+        assert _run_record(vector) == _run_record(scalar)
+
+
+def test_engines_bit_identical_uint32_layout(monkeypatch):
+    monkeypatch.setattr(solver_module, "_flag_layout", lambda levels: ("I", 31))
+    for seed in range(6):
+        game = seeded_game(seed, min_n=200, max_n=600, max_d=8, self_loop=0.1 * (seed & 1))
+        scalar = pf.solve_detailed(game, engine="scalar")
+        vector = pf.solve_detailed(game, engine="vector")
+        assert vector.stats.state_bytes == game.n * 8
+        assert _run_record(vector) == _run_record(scalar)
+
+
+@pytest.mark.parametrize(
+    "engine, mode, state_bytes",
+    [("vector", "freezing", 5), ("scalar", "freezing", 6), ("scalar", "basic", 1)],
+)
+def test_timeout_carries_partial_stats(monkeypatch, engine, mode, state_bytes):
+    # a clock that ticks once per reading: the start, one per pass, so the
+    # deadline passes at the check before pass k + 1, and the stop
+    ticks = iter(range(10**6))
+    clock = types.SimpleNamespace(perf_counter=lambda: float(next(ticks)))
+    game = pf.random_game(
+        pf.GenParams(n=2000, max_priority=6, outdegree_lo=1, outdegree_hi=3,
+                     self_loop_probability=0.0, seed=1)
+    )
+    k = 25
+    monkeypatch.setattr(solver_module, "time", clock)
+    with pytest.raises(pf.SolveTimeoutError) as info:
+        pf.solve_detailed(game, pf.SolverOptions(mode=mode, timeout_s=k + 0.5), engine=engine)
+    stats = info.value.stats
+    assert stats.passes == k
+    assert stats.state_bytes == state_bytes * game.n
+    assert stats.wall_time_s == k + 2
+    assert stats.evaluations > 0
 
 
 @settings(max_examples=60, deadline=None)
