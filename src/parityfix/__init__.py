@@ -52,7 +52,6 @@ from .preprocess import (
 )
 from .solver import (
     DfiOutcome,
-    SolverHooks,
     SolverOptions,
     SolverStats,
     onestep,
@@ -95,7 +94,6 @@ __all__ = [
     "parse_solution",
     "SolverOptions",
     "SolverStats",
-    "SolverHooks",
     "DfiOutcome",
     "SolveTimeoutError",
     "winner_of",

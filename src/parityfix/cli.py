@@ -213,17 +213,21 @@ def _bench_row(path: Path, solver: str, preprocess: bool, timeout_s: float, reps
         t0 = time.perf_counter()
         try:
             _, stats = _solve_game(game, solver, preprocess=preprocess, timeout_s=timeout_s)
-        except SolveTimeoutError:
-            return [name, solver, pre, f"{timeout_s:.6f}", "timeout", *size, "", "", "", ""]
+        except SolveTimeoutError as exc:
+            row = [name, solver, pre, f"{timeout_s:.6f}", "timeout", *size]
+            return row + _counter_cells(exc.stats)
         except Exception:  # includes RecursionDepthError and FixpointBudgetError
             return [name, solver, pre, "", "error", *size, "", "", "", ""]
         times.append(time.perf_counter() - t0)
     mean = sum(times) / len(times)
-    if stats is not None:
-        counters = [str(stats.passes), str(stats.additions), str(stats.resets), str(stats.freezes)]
-    else:
-        counters = ["", "", "", ""]
-    return [name, solver, pre, f"{mean:.6f}", "solved", *size, *counters]
+    return [name, solver, pre, f"{mean:.6f}", "solved", *size, *_counter_cells(stats)]
+
+
+def _counter_cells(stats: SolverStats | None) -> list[str]:
+    """The DFI counters of a bench row; empty for the other solvers."""
+    if stats is None:
+        return ["", "", "", ""]
+    return [str(stats.passes), str(stats.additions), str(stats.resets), str(stats.freezes)]
 
 
 def _cmd_bench(args) -> int:

@@ -15,7 +15,7 @@ import time
 from dataclasses import dataclass, field
 from typing import FrozenSet
 
-from .game import ParityGame, Player, SolveTimeoutError
+from .game import ParityGame, Player, SolveTimeoutError, _deadline
 
 VertexSet = FrozenSet[int]
 
@@ -107,6 +107,7 @@ def bfl_win0(
     Even-owned vertices need some successor whose level variable covers it,
     Odd-owned vertices need all successors covered.
     """
+    deadline = _deadline(timeout_s, time.perf_counter())
     n = game.n
     if n == 0:
         return frozenset()
@@ -117,7 +118,6 @@ def bfl_win0(
     for v in range(n):
         by_level[game.priority[v]].append(v)
     full = universe(game)
-    deadline = time.perf_counter() + timeout_s if timeout_s is not None else None
     evals = 0
 
     env: dict[int, VertexSet] = {}

@@ -52,6 +52,20 @@ class SolveTimeoutError(Exception):
     stats = None
 
 
+def _deadline(timeout_s: float | None, start: float) -> float | None:
+    """The ``time.perf_counter`` reading after which a solver started at
+    ``start`` with ``timeout_s`` seconds stops; ``None`` for no deadline.
+
+    NaN and negative timeouts are rejected: NaN would never pass and a
+    negative value would pass before the first check.
+    """
+    if timeout_s is None:
+        return None
+    if not timeout_s >= 0:
+        raise ValueError(f"timeout_s must be a nonnegative number of seconds, got {timeout_s!r}")
+    return start + timeout_s
+
+
 class SinkVertexError(ValidationError):
     def __init__(self, vertex: int):
         self.vertex = vertex
@@ -159,8 +173,8 @@ class ParityGame:
         pr = self.priority
         return all(pr[i] <= pr[i + 1] for i in range(len(pr) - 1))
 
-    # Plain-int mirrors of owner/priority parity; the solver's scalar hot
-    # loops index these instead of enum tuples.
+    # Plain-int mirrors of owner/priority parity; the solvers' per-vertex
+    # Python loops index these instead of enum tuples.
     @cached_property
     def _owner_ints(self) -> tuple[int, ...]:
         return tuple(int(o) for o in self.owner)

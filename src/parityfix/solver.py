@@ -18,23 +18,20 @@ stand when the pass starts: it collects the level's new distractions in a
 list and sets their z bits only when the pass ends.  No flag moves during
 a pass, so no copy of the flags is needed.
 
-Engines: a scalar engine (plain Python, used for small games and whenever
-instrumentation hooks are attached) and a vector engine (used for large
-games).  The vector engine implements freezing mode, including strategy
-tie-breaking on the first winning successor in stored order, and produces
-the scalar engine's results, distractions and pass, addition, reset and
-freeze counts.  Basic mode, the region-only reference of the algorithm,
-runs on the scalar engine only.
-
-The vector engine is a worklist over dirty vertices.  A vertex's one-step
-result depends only on its successors' winner bits, so it is re-evaluated
-only when it is dirty: every vertex starts dirty, a reset vertex becomes
-dirty, and so does every predecessor of a vertex that is added to Z or
-reset.  A pass evaluates the unfrozen, non-Z dirty vertices of its level and
-clears their dirty bits.  Frozen vertices keep their dirty bit until they
-are thawed.  A dirty set of at most ``_K`` vertices is evaluated, and its
-additions' predecessors marked, in a Python loop; a larger set goes through
-a numpy gather over the CSR edge arrays and a reverse-CSR scatter.
+Basic mode, the region-only reference of the algorithm, is a plain loop
+that evaluates every non-Z vertex of a level on each pass
+(``_basic_scalar``).  Freezing mode has one engine, ``_freezing``, which
+breaks strategy ties on the first winning successor in stored order.  It
+is a worklist over dirty vertices.  A vertex's one-step result depends
+only on its successors' winner bits, so it is re-evaluated only when it
+is dirty: every vertex starts dirty, a reset vertex becomes dirty, and so
+does every predecessor of a vertex that is added to Z or reset.  A pass
+evaluates the unfrozen, non-Z dirty vertices of its level and clears
+their dirty bits.  Frozen vertices keep their dirty bit until they are
+thawed.  A dirty set of at most ``_K`` vertices is evaluated, and its
+additions' predecessors marked, in a Python loop; a larger set goes
+through a numpy gather over the CSR edge arrays and a reverse-CSR
+scatter.
 
 Its state is one flags word and one int32 strategy slot per vertex.  A
 flags word holds, from the top bit down, the estimated winner bit (parity
@@ -73,14 +70,12 @@ from .game import (
     Solution,
     SolveTimeoutError,
     SortPermutation,
+    _deadline,
     _positions,
     sort_by_priority,
 )
 
-# engine="auto" runs games of at most this many vertices on the scalar engine;
-# at this size both engines take about the same time (seeded d=6 games)
-_SCALAR_LIMIT = 750
-# The vector engine lists a dirty set of at most this many vertices in
+# The freezing engine lists a dirty set of at most this many vertices in
 # Python (``find`` on the byte layout) and evaluates it in a Python loop; a
 # larger set is listed and evaluated with numpy.  The same split decides how
 # the predecessors of changed vertices are marked.  Measured on the two
@@ -106,37 +101,12 @@ class SolverStats:
     additions: int = 0
     resets: int = 0
     freezes: int = 0
-    # vertices evaluated; a per-engine work counter, since the vector engine
-    # skips vertices whose successors' winner bits have not changed
+    # vertices evaluated; basic mode evaluates every non-Z vertex of a pass,
+    # freezing mode skips vertices whose successors' winner bits have not
+    # changed
     evaluations: int = 0
     wall_time_s: float = 0.0
     state_bytes: int = 0
-
-
-class SolverHooks:
-    """Instrumentation callbacks.
-
-    Attaching hooks forces the scalar engine.  All vertex indices passed to
-    callbacks refer to the priority-sorted order (see DfiOutcome.sorted_game).
-    """
-
-    def on_pass(self, priority: int) -> None:
-        pass
-
-    def on_evaluate(self, v: int, priority: int) -> None:
-        pass
-
-    def on_add(self, v: int, priority: int) -> None:
-        pass
-
-    def on_freeze(self, v: int, priority: int, winner_bit: int) -> None:
-        pass
-
-    def on_thaw(self, v: int, priority: int) -> None:
-        pass
-
-    def on_reset(self, v: int, priority: int) -> None:
-        pass
 
 
 @dataclass(frozen=True)
@@ -175,10 +145,10 @@ def _check_deadline(deadline: float | None) -> None:
         raise SolveTimeoutError("solver deadline exceeded")
 
 
-# ---------------------------------------------------------------- scalar
+# ---------------------------------------------------------------- basic
 
 
-def _basic_scalar(game, hooks, deadline, stats) -> bytearray:
+def _basic_scalar(game, deadline, stats) -> bytearray:
     n = game.n
     succ = game.successors
     par = game._parity_ints
@@ -192,15 +162,11 @@ def _basic_scalar(game, hooks, deadline, stats) -> bytearray:
         stats.passes += 1
         p, lo, hi = levels[li]
         alpha = p & 1
-        if hooks:
-            hooks.on_pass(p)
         adds = []
         for v in range(lo, hi):
             if z[v]:
                 continue
             stats.evaluations += 1
-            if hooks:
-                hooks.on_evaluate(v, p)
             ow = own[v]
             res = 1 - ow
             for u in succ[v]:
@@ -209,8 +175,6 @@ def _basic_scalar(game, hooks, deadline, stats) -> bytearray:
                     break
             if res != alpha:
                 adds.append(v)
-                if hooks:
-                    hooks.on_add(v, p)
         if adds:
             for v in adds:
                 z[v] = 1
@@ -219,86 +183,13 @@ def _basic_scalar(game, hooks, deadline, stats) -> bytearray:
             for w in range(lo):
                 if z[w]:
                     z[w] = 0
-                    if hooks:
-                        hooks.on_reset(w, p)
             li = 0
         else:
             li += 1
     return z
 
 
-def _freezing_scalar(game, hooks, deadline, stats):
-    n = game.n
-    succ = game.successors
-    par = game._parity_ints
-    own = game._owner_ints
-    d = game.max_priority
-    z = bytearray(n)
-    # freeze level + 1 per vertex, 0 meaning not frozen
-    f = bytearray(n) if d <= 254 else [0] * n
-    st = array("i", [-1]) * n
-    stats.state_bytes = n + n + st.itemsize * n
-    levels = game.levels
-    li = 0
-    while li < len(levels):
-        _check_deadline(deadline)
-        stats.passes += 1
-        p, lo, hi = levels[li]
-        alpha = p & 1
-        if hooks:
-            hooks.on_pass(p)
-        adds = []
-        for v in range(lo, hi):
-            if f[v] or z[v]:
-                continue
-            stats.evaluations += 1
-            if hooks:
-                hooks.on_evaluate(v, p)
-            ow = own[v]
-            res = 1 - ow
-            choice = -1
-            for u in succ[v]:
-                if (par[u] ^ z[u]) == ow:
-                    res = ow
-                    choice = u
-                    break
-            st[v] = choice
-            if res != alpha:
-                adds.append(v)
-                if hooks:
-                    hooks.on_add(v, p)
-        if adds:
-            for v in adds:
-                z[v] = 1
-            stats.additions += len(adds)
-            stats.resets += 1
-            fp = p + 1
-            opp = 1 - alpha
-            for w in range(lo):
-                if f[w]:
-                    continue
-                if (par[w] ^ z[w]) == opp:
-                    f[w] = fp
-                    stats.freezes += 1
-                    if hooks:
-                        hooks.on_freeze(w, p, opp)
-                elif z[w]:
-                    z[w] = 0
-                    if hooks:
-                        hooks.on_reset(w, p)
-            li = 0
-        else:
-            fp = p + 1
-            for w in range(lo):
-                if f[w] == fp:
-                    f[w] = 0
-                    if hooks:
-                        hooks.on_thaw(w, p)
-            li += 1
-    return z, st
-
-
-# ---------------------------------------------------------------- vector
+# ---------------------------------------------------------------- freezing
 
 
 def _flag_layout(levels: int) -> tuple[str, int]:
@@ -357,16 +248,21 @@ def _byte_helpers(fl, flags, levels):
     codes = np.arange(256)
     free = (codes & 0x3F) == 0
     won = codes >> 7
+    # one row of each table per level, built in one broadcast
+    alphas = np.array([p & 1 for p, _, _ in levels], dtype=np.int64)[:, None]
+    ids = np.arange(1, len(levels) + 1)[:, None]
+    frozen = np.where(free & (won != alphas), codes | ids, codes)
+    # at levels of the other parity a vertex won by the level's player is
+    # in Z, and is reset
+    reset = np.where(free & (won == alphas), (1 - alphas) << 7 | dirty, frozen)
+    thawed = np.where((codes & 0x3F) == ids, codes & 0xC0, codes)
+    frozen, reset, thawed = (t.astype(np.uint8) for t in (frozen, reset, thawed))
     sweeps = []  # per level index: (lo, hi, table) over runs of lower levels
     thaws = []
     for li, (p, _, _) in enumerate(levels):
         alpha = p & 1
-        frozen = np.where(free & (won != alpha), codes | (li + 1), codes)
-        same = frozen.astype(np.uint8).tobytes()
-        # at levels of the other parity a vertex won by the level's player
-        # is in Z, and is reset
-        reset = np.where(free & (won == alpha), (1 - alpha) << 7 | dirty, frozen)
-        other = reset.astype(np.uint8).tobytes()
+        same = frozen[li].tobytes()
+        other = reset[li].tobytes()
         runs = []
         for q, a, b in levels[:li]:
             tab = same if (q & 1) == alpha else other
@@ -375,8 +271,7 @@ def _byte_helpers(fl, flags, levels):
             else:
                 runs.append((a, b, tab))
         sweeps.append(runs)
-        thawed = np.where((codes & 0x3F) == li + 1, codes & 0xC0, codes)
-        thaws.append(thawed.astype(np.uint8).tobytes())
+        thaws.append(thawed[li].tobytes())
 
     count, find = fl.count, fl.find
 
@@ -433,7 +328,7 @@ def _wide_helpers(flags, parb, wshift):
     return select, sweep, thaw
 
 
-def _freezing_vector(game, deadline, stats):
+def _freezing(game, deadline, stats):
     n = game.n
     succ = game.successors
     pred = game.predecessors
@@ -529,29 +424,7 @@ def _freezing_vector(game, deadline, stats):
 # ---------------------------------------------------------------- driver
 
 
-def _pick_engine(engine: str, game: ParityGame, options: SolverOptions, hooks) -> str:
-    if engine not in ("auto", "scalar", "vector"):
-        raise ValueError(f"unknown engine {engine!r}")
-    if hooks is not None:
-        if engine == "vector":
-            raise ValueError("instrumentation hooks require the scalar engine")
-        return "scalar"
-    if options.mode == "basic":
-        if engine == "vector":
-            raise ValueError("basic mode requires the scalar engine")
-        return "scalar"
-    if engine == "auto":
-        return "scalar" if game.n <= _SCALAR_LIMIT else "vector"
-    return engine
-
-
-def solve_detailed(
-    game: ParityGame,
-    options: SolverOptions | None = None,
-    hooks: SolverHooks | None = None,
-    *,
-    engine: str = "auto",
-) -> DfiOutcome:
+def solve_detailed(game: ParityGame, options: SolverOptions | None = None) -> DfiOutcome:
     """Full solve with stats and the final distraction set.
 
     The input is sorted by priority internally when needed; all results are
@@ -560,19 +433,16 @@ def solve_detailed(
     """
     opts = options or SolverOptions()
     sorted_game, perm = sort_by_priority(game)
-    eng = _pick_engine(engine, sorted_game, opts, hooks)
     stats = SolverStats()
     t0 = time.perf_counter()
-    deadline = t0 + opts.timeout_s if opts.timeout_s is not None else None
+    deadline = _deadline(opts.timeout_s, t0)
 
     st = None
     try:
         if opts.mode == "basic":
-            z = _basic_scalar(sorted_game, hooks, deadline, stats)
-        elif eng == "scalar":
-            z, st = _freezing_scalar(sorted_game, hooks, deadline, stats)
+            z = _basic_scalar(sorted_game, deadline, stats)
         else:
-            z, st = _freezing_vector(sorted_game, deadline, stats)
+            z, st = _freezing(sorted_game, deadline, stats)
     except SolveTimeoutError as exc:
         stats.wall_time_s = time.perf_counter() - t0
         exc.stats = stats
@@ -606,24 +476,11 @@ def solve_detailed(
     return DfiOutcome(Solution(winner, strategy), stats, distractions, sorted_game, perm)
 
 
-def solve(
-    game: ParityGame,
-    options: SolverOptions | None = None,
-    hooks: SolverHooks | None = None,
-    *,
-    engine: str = "auto",
-) -> Solution:
+def solve(game: ParityGame, options: SolverOptions | None = None) -> Solution:
     """Solve with strategies (default) or regions only (mode=basic)."""
-    return solve_detailed(game, options, hooks, engine=engine).solution
+    return solve_detailed(game, options).solution
 
 
-def solve_basic(
-    game: ParityGame,
-    hooks: SolverHooks | None = None,
-    *,
-    engine: str = "auto",
-    timeout_s: float | None = None,
-) -> Solution:
+def solve_basic(game: ParityGame, *, timeout_s: float | None = None) -> Solution:
     """Region-only solve; strategies are all ``None``."""
-    opts = SolverOptions(mode="basic", timeout_s=timeout_s)
-    return solve_detailed(game, opts, hooks, engine=engine).solution
+    return solve_detailed(game, SolverOptions(mode="basic", timeout_s=timeout_s)).solution

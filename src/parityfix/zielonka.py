@@ -11,7 +11,7 @@ from __future__ import annotations
 import time
 from typing import Generator
 
-from .game import ParityGame, Player, Solution, SolveTimeoutError
+from .game import ParityGame, Player, Solution, SolveTimeoutError, _deadline
 from .graphs import attract
 
 
@@ -87,7 +87,7 @@ def solve_zielonka(
     """Solve by recursive decomposition; returns regions and strategies."""
     n = game.n
     limit = depth_limit if depth_limit is not None else n + game.max_priority + 8
-    deadline = time.perf_counter() + timeout_s if timeout_s is not None else None
+    deadline = _deadline(timeout_s, time.perf_counter())
 
     stack = [_decompose(game, [True] * n, n)]
     sent: _Result | None = None

@@ -205,6 +205,8 @@ class TestBenchCommand:
         for cells in nopre:
             assert cells[4] == "timeout"
             assert float(cells[3]) == 0.0
+            # the deadline passes at the first check, before any pass
+            assert cells[8:] == ["0", "0", "0", "0"]
 
     def test_error_row_keeps_going(self, g1_path, tmp_path, capsys):
         (g1_path.parent / "broken.pg").write_text("not a game")

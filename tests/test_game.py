@@ -140,3 +140,18 @@ class TestArrays:
         game = pf.ParityGame([], [], [])
         assert game.predecessors == ()
         assert game._csr[0].tolist() == [0]
+
+
+_SOLVERS_WITH_TIMEOUT = {
+    "dfi": lambda game, t: pf.solve_detailed(game, pf.SolverOptions(timeout_s=t)),
+    "zielonka": lambda game, t: pf.solve_zielonka(game, timeout_s=t),
+    "bfl": lambda game, t: pf.bfl_win0(game, timeout_s=t),
+}
+
+
+@pytest.mark.parametrize("timeout_s", [float("nan"), -1.0])
+@pytest.mark.parametrize("solver", sorted(_SOLVERS_WITH_TIMEOUT))
+def test_invalid_timeout_rejected(g1, solver, timeout_s):
+    # NaN would never pass and a negative deadline would pass at once
+    with pytest.raises(ValueError, match="nonnegative"):
+        _SOLVERS_WITH_TIMEOUT[solver](g1, timeout_s)

@@ -8,10 +8,11 @@ import parityfix as pf
 from parityfix import Player
 from parityfix import solver as solver_module
 
+from _oracles import FreezingEvents, reference_freezing
 from conftest import seeded_game
 
 
-class Recorder(pf.SolverHooks):
+class Recorder(FreezingEvents):
     """Independently mirrors Z and F from events and checks the freeze rules.
 
     The mirror never reads solver state: every assertion is reconstructed
@@ -145,12 +146,6 @@ class TestSolveFreezing:
     def test_options_validation(self):
         with pytest.raises(ValueError):
             pf.SolverOptions(mode="nope")
-        with pytest.raises(ValueError):
-            pf.solve_basic(pf.ParityGame([0], [0], [[0]]), engine="vector")
-        with pytest.raises(ValueError):
-            pf.solve(pf.ParityGame([0], [0], [[0]]), engine="nope")
-        with pytest.raises(ValueError):
-            pf.solve(pf.ParityGame([0], [0], [[0]]), hooks=pf.SolverHooks(), engine="vector")
 
     def test_timeout(self):
         game = seeded_game(99, max_n=40)
@@ -168,16 +163,36 @@ def test_region_agreement_across_modes(seed):
     assert pf.verify(game, freezing).ok
 
 
+def _run_record(out):
+    st = out.stats
+    return out.solution, out.distractions, (st.passes, st.additions, st.resets, st.freezes)
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.integers(0, 10**9))
 def test_engines_bit_identical(seed):
     game = seeded_game(seed, max_n=60)
-    assert pf.solve(game, engine="scalar") == pf.solve(game, engine="vector")
+    assert _run_record(pf.solve_detailed(game)) == _run_record(reference_freezing(game))
 
 
-def _run_record(out):
-    st = out.stats
-    return out.solution, out.distractions, (st.passes, st.additions, st.resets, st.freezes)
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**9))
+def test_sparse_huge_priorities_match_reference(seed):
+    base = seeded_game(seed, max_n=40)
+    game = pf.ParityGame([p * 2**33 + (p & 1) for p in base.priority], base.owner, base.successors)
+    assert _run_record(pf.solve_detailed(game)) == _run_record(reference_freezing(game))
+
+
+@pytest.mark.parametrize("mode", ["freezing", "basic"])
+def test_empty_and_one_vertex_games(mode):
+    # the empty game and a self-loop per owner and priority 0-3
+    games = [pf.ParityGame([], [], [])]
+    games += [pf.ParityGame([p], [o], [[0]]) for o in (0, 1) for p in range(4)]
+    for game in games:
+        sol = pf.solve(game, pf.SolverOptions(mode=mode))
+        assert sol.winner == pf.solve_zielonka(game).winner
+        if mode == "freezing":
+            assert pf.verify(game, sol).ok
 
 
 @settings(max_examples=30, deadline=None)
@@ -187,9 +202,7 @@ def test_engines_bit_identical_detailed(seed, self_loop):
     # first pass through the numpy evaluator, later small dirty sets through
     # the Python one
     game = seeded_game(seed, max_n=2500, max_d=8, self_loop=self_loop)
-    scalar = pf.solve_detailed(game, engine="scalar")
-    vector = pf.solve_detailed(game, engine="vector")
-    assert _run_record(vector) == _run_record(scalar)
+    assert _run_record(pf.solve_detailed(game)) == _run_record(reference_freezing(game))
 
 
 def test_vector_engine_evaluates_fewer_vertices():
@@ -197,10 +210,10 @@ def test_vector_engine_evaluates_fewer_vertices():
         pf.GenParams(n=2000, max_priority=6, outdegree_lo=1, outdegree_hi=3,
                      self_loop_probability=0.0, seed=1)
     )
-    scalar = pf.solve_detailed(game, engine="scalar")
-    vector = pf.solve_detailed(game, engine="vector")
-    assert _run_record(vector) == _run_record(scalar)
-    assert 0 < vector.stats.evaluations < scalar.stats.evaluations
+    reference = reference_freezing(game)
+    out = pf.solve_detailed(game)
+    assert _run_record(out) == _run_record(reference)
+    assert 0 < out.stats.evaluations < reference.stats.evaluations
 
 
 def test_vector_engine_huge_priorities():
@@ -209,9 +222,9 @@ def test_vector_engine_huge_priorities():
                      self_loop_probability=0.1, seed=5)
     )
     game = pf.ParityGame([p * 2**33 + (p & 1) for p in base.priority], base.owner, base.successors)
-    vector = pf.solve(game, engine="vector")
-    assert vector == pf.solve(game, engine="scalar")
-    assert pf.verify(game, vector).ok
+    out = pf.solve_detailed(game)
+    assert _run_record(out) == _run_record(reference_freezing(game))
+    assert pf.verify(game, out.solution).ok
 
 
 def _leveled_game(seed: int, levels: int) -> pf.ParityGame:
@@ -247,38 +260,32 @@ def _leveled_game(seed: int, levels: int) -> pf.ParityGame:
 def test_engines_bit_identical_wide_layout(seed, levels):
     # more than 63 levels: the 16-bit flags word and its numpy helpers
     game = _leveled_game(seed, levels)
-    scalar = pf.solve_detailed(game, engine="scalar")
-    vector = pf.solve_detailed(game, engine="vector")
-    assert len(vector.sorted_game.levels) == levels
-    assert vector.stats.state_bytes == game.n * 6
-    assert _run_record(vector) == _run_record(scalar)
+    out = pf.solve_detailed(game)
+    assert len(out.sorted_game.levels) == levels
+    assert out.stats.state_bytes == game.n * 6
+    assert _run_record(out) == _run_record(reference_freezing(game))
 
 
 @pytest.mark.parametrize("levels, word_bytes", [(63, 1), (64, 2)])
 def test_flag_layout_boundary(levels, word_bytes):
     for seed in range(8):
         game = _leveled_game(seed, levels)
-        scalar = pf.solve_detailed(game, engine="scalar")
-        vector = pf.solve_detailed(game, engine="vector")
-        assert vector.stats.state_bytes == game.n * (word_bytes + 4)
-        assert _run_record(vector) == _run_record(scalar)
+        out = pf.solve_detailed(game)
+        assert out.stats.state_bytes == game.n * (word_bytes + 4)
+        assert _run_record(out) == _run_record(reference_freezing(game))
 
 
 def test_engines_bit_identical_uint32_layout(monkeypatch):
     monkeypatch.setattr(solver_module, "_flag_layout", lambda levels: ("I", 31))
     for seed in range(6):
         game = seeded_game(seed, min_n=200, max_n=600, max_d=8, self_loop=0.1 * (seed & 1))
-        scalar = pf.solve_detailed(game, engine="scalar")
-        vector = pf.solve_detailed(game, engine="vector")
-        assert vector.stats.state_bytes == game.n * 8
-        assert _run_record(vector) == _run_record(scalar)
+        out = pf.solve_detailed(game)
+        assert out.stats.state_bytes == game.n * 8
+        assert _run_record(out) == _run_record(reference_freezing(game))
 
 
-@pytest.mark.parametrize(
-    "engine, mode, state_bytes",
-    [("vector", "freezing", 5), ("scalar", "freezing", 6), ("scalar", "basic", 1)],
-)
-def test_timeout_carries_partial_stats(monkeypatch, engine, mode, state_bytes):
+@pytest.mark.parametrize("mode, state_bytes", [("freezing", 5), ("basic", 1)])
+def test_timeout_carries_partial_stats(monkeypatch, mode, state_bytes):
     # a clock that ticks once per reading: the start, one per pass, so the
     # deadline passes at the check before pass k + 1, and the stop
     ticks = iter(range(10**6))
@@ -290,7 +297,7 @@ def test_timeout_carries_partial_stats(monkeypatch, engine, mode, state_bytes):
     k = 25
     monkeypatch.setattr(solver_module, "time", clock)
     with pytest.raises(pf.SolveTimeoutError) as info:
-        pf.solve_detailed(game, pf.SolverOptions(mode=mode, timeout_s=k + 0.5), engine=engine)
+        pf.solve_detailed(game, pf.SolverOptions(mode=mode, timeout_s=k + 0.5))
     stats = info.value.stats
     assert stats.passes == k
     assert stats.state_bytes == state_bytes * game.n
@@ -304,9 +311,9 @@ def test_freeze_discipline_and_epoch_monotonicity(seed):
     game = seeded_game(seed)
     sorted_game, _ = pf.sort_by_priority(game)
     recorder = Recorder(sorted_game)
-    sol = pf.solve(game, hooks=recorder)
+    reference = reference_freezing(game, recorder)
     assert recorder.violations == []
-    assert pf.verify(game, sol).ok
+    assert pf.verify(game, reference.solution).ok
 
 
 def test_trace_deterministic_across_runs():
@@ -316,7 +323,7 @@ def test_trace_deterministic_across_runs():
         traces = []
         for _ in range(3):
             rec = Recorder(sorted_game)
-            pf.solve(game, hooks=rec)
+            reference_freezing(game, rec)
             traces.append(rec.trace)
         assert all(t == traces[0] for t in traces)
 
@@ -341,17 +348,14 @@ def test_frozen_strategy_survives_until_thaw():
         game = seeded_game(seed)
         sorted_game, _ = pf.sort_by_priority(game)
         watch = StrWatch(sorted_game)
-        pf.solve(game, hooks=watch)
+        reference_freezing(game, watch)
         assert watch.violations == []
 
 
 def test_state_bytes_reported(g2):
-    # scalar engine: flag byte, freeze byte, 4-byte strategy slot per vertex
+    # freezing mode: packed flag byte plus 4-byte strategy slot per vertex
     out = pf.solve_detailed(g2)
-    assert out.stats.state_bytes == g2.n * 6
-    # vector engine: packed flag byte plus 4-byte strategy slot per vertex
-    vec = pf.solve_detailed(g2, engine="vector")
-    assert vec.stats.state_bytes == g2.n * 5
+    assert out.stats.state_bytes == g2.n * 5
     basic = pf.solve_detailed(g2, pf.SolverOptions(mode="basic"))
     assert basic.stats.state_bytes == g2.n
 
@@ -363,7 +367,7 @@ def test_counters_populated(g2):
     assert out.stats.wall_time_s >= 0.0
 
 
-class DigestHooks(pf.SolverHooks):
+class DigestHooks(FreezingEvents):
     """Feeds every hook event, in call order, into one SHA-256."""
 
     def __init__(self, digest):
@@ -391,7 +395,7 @@ class DigestHooks(pf.SolverHooks):
         self._event("reset", v, p)
 
 
-# (seed, self-loop probability) of the games whose scalar runs are pinned
+# (seed, self-loop probability) of the games whose runs are pinned
 _PINNED_GAMES = [(11, 0.0), (12, 0.0), (13, 0.1), (14, 0.1)]
 
 
@@ -399,21 +403,16 @@ def _pinned_game(seed, self_loop):
     return seeded_game(seed, max_n=300, max_d=8, self_loop=self_loop)
 
 
-# Recorded from the solver; the basic loop has no second engine to agree
-# with, and no other test looks at the content of the event stream.
-_HOOK_DIGESTS = {
-    "freezing": "4c38754d83fa982d41feef9527daede600c5160efc4b5bcf17949507226294b4",
-    "basic": "857e0d13f61b3e9cefd99ef947e065ccaef33f9ef4bec2f5f747d66582331614",
-}
+# Recorded from the reference loop; no other test looks at the content of
+# the event stream.
+_HOOK_DIGEST = "4c38754d83fa982d41feef9527daede600c5160efc4b5bcf17949507226294b4"
 
 
-@pytest.mark.parametrize("mode", ["freezing", "basic"])
-def test_hook_event_stream_pinned(mode):
+def test_hook_event_stream_pinned():
     digest = hashlib.sha256()
     for seed, self_loop in _PINNED_GAMES:
-        game = _pinned_game(seed, self_loop)
-        pf.solve(game, pf.SolverOptions(mode=mode), hooks=DigestHooks(digest))
-    assert digest.hexdigest() == _HOOK_DIGESTS[mode]
+        reference_freezing(_pinned_game(seed, self_loop), DigestHooks(digest))
+    assert digest.hexdigest() == _HOOK_DIGEST
 
 
 # per game: passes, additions, resets, evaluations and the first 16 hex
