@@ -263,14 +263,21 @@ def _scan_pgsolver(text: str, *, permissive: bool = False) -> ParityGame:
 
 
 def write_pgsolver(game: ParityGame) -> str:
-    """Serialize a game, vertices in ascending original id order."""
+    """Serialize a game, vertices in ascending original id order.
+
+    A label holding a double quote or a line break has no PGSolver form, so
+    it raises ``ValueError``.
+    """
     if game.n == 0:
         return ""
     order = sorted(range(game.n), key=lambda v: game.original_id[v])
     out = [f"parity {max(game.original_id)};"]
     for v in order:
         succ = ",".join(str(game.original_id[u]) for u in game.successors[v])
-        lbl = f' "{game.label[v]}"' if game.label[v] is not None else ""
+        label = game.label[v]
+        if label is not None and ('"' in label or "\n" in label):
+            raise ValueError(f"vertex {game.original_id[v]}: label {label!r} cannot be written")
+        lbl = f' "{label}"' if label is not None else ""
         out.append(f"{game.original_id[v]} {game.priority[v]} {int(game.owner[v])} {succ}{lbl};")
     return "\n".join(out) + "\n"
 

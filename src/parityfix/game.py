@@ -185,18 +185,38 @@ class ParityGame:
 
     @cached_property
     def _csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(indptr, targets, edge source owner bit) in CSR layout."""
+        """(indptr, targets, edge source owner bit) in CSR layout.
+
+        Raises the ``SinkVertexError`` or ``DanglingEdgeError`` that
+        ``validate`` meets first, so no array code reads past a vertex range.
+        """
         n = self.n
         if n >= 2**31:
             raise ValueError("games this large are not supported")
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.fromiter(map(len, self.successors), dtype=np.int64, count=n), out=indptr[1:])
-        targets = np.fromiter(
-            chain.from_iterable(self.successors), dtype=np.int32, count=int(indptr[-1])
-        )
+        try:
+            targets = np.fromiter(
+                chain.from_iterable(self.successors), dtype=np.int32, count=int(indptr[-1])
+            )
+        except OverflowError:  # a target beyond 32 bits (numpy 1.x wraps it instead)
+            self._raise_malformed()
         counts = np.diff(indptr)
+        # negative targets wrap to values of at least 2**31
+        if n and (counts.min() == 0 or targets.view(np.uint32).max() >= n):
+            self._raise_malformed()
         edge_owner = np.repeat(self._owner_bits, counts)
         return indptr, targets, edge_owner
+
+    def _raise_malformed(self) -> None:
+        """Raise the error of the first sink or dangling edge, as ``validate``
+        would, but not the duplicate edges, which no solver minds."""
+        for v, succ in enumerate(self.successors):
+            if not succ:
+                raise SinkVertexError(v)
+            for u in succ:
+                if not 0 <= u < self.n:
+                    raise DanglingEdgeError(v, u)
 
     @cached_property
     def _reverse_csr(self) -> tuple[np.ndarray, np.ndarray]:
@@ -303,6 +323,7 @@ def sort_by_priority(game: ParityGame) -> tuple[ParityGame, SortPermutation]:
     n = game.n
     if game.is_priority_sorted:
         return game, SortPermutation.identity(n)
+    game._csr  # raises on a sink or a dangling edge before it is renumbered
     backward = tuple(sorted(range(n), key=lambda v: game.priority[v]))
     forward_list = [0] * n
     for internal, external in enumerate(backward):

@@ -7,26 +7,26 @@ estimated-winning successor in one step.  Levels are processed from the
 lowest priority upward, and whenever a level gains distractions all lower
 levels are recomputed.  The final winners are read off the flags.
 
-The freezing mode additionally keeps, while a level's fixpoint is in
-progress, all lower vertices currently won by the opposite parity out of
-the recomputation.  Those frozen vertices keep the last successor choice
-recorded for them, which is exactly what makes the recorded one-step
-choices a correct winning strategy by the end of the run.
+The freezing mode differs from the basic mode in one step, the reset.
+While a level's fixpoint is in progress, it keeps all lower vertices
+currently won by the opposite parity out of the recomputation.  Those
+frozen vertices keep the last successor choice recorded for them, which is
+exactly what makes the recorded one-step choices a correct winning
+strategy by the end of the run.  Basic mode freezes nothing and resets
+every lower distraction, so it yields regions only.
 
 A pass evaluates the vertices of its level against the flags as they
 stand when the pass starts: it collects the level's new distractions in a
 list and sets their z bits only when the pass ends.  No flag moves during
 a pass, so no copy of the flags is needed.
 
-Basic mode, the region-only reference of the algorithm, is a plain loop
-that evaluates every non-Z vertex of a level on each pass
-(``_basic_scalar``).  Freezing mode has one engine, ``_freezing``, which
-breaks strategy ties on the first winning successor in stored order.  It
-is a worklist over dirty vertices.  A vertex's one-step result depends
-only on its successors' winner bits, so it is re-evaluated only when it
-is dirty: every vertex starts dirty, a reset vertex becomes dirty, and so
-does every predecessor of a vertex that is added to Z or reset.  A pass
-evaluates the unfrozen, non-Z dirty vertices of its level and clears
+Both modes run on one kernel, ``_dfi``, whose ``freeze`` switch chooses
+the reset; strategy ties break on the first winning successor in stored
+order.  It is a worklist over dirty vertices.  A vertex's one-step result
+depends only on its successors' winner bits, so it is re-evaluated only
+when it is dirty: every vertex starts dirty, a reset vertex becomes dirty,
+and so does every predecessor of a vertex that is added to Z or reset.  A
+pass evaluates the unfrozen, non-Z dirty vertices of its level and clears
 their dirty bits.  Frozen vertices keep their dirty bit until they are
 thawed.  A dirty set of at most ``_K`` vertices is evaluated, and its
 additions' predecessors marked, in a Python loop; a larger set goes
@@ -53,6 +53,9 @@ levels), which the byte operations cannot address, so the same pass loop
 calls numpy sweeps instead (``_wide_helpers``); a second per-vertex byte
 buffer would add to the state the solver keeps.  Both containers are
 shared with a numpy view of the same memory for the large-set branches.
+Basic mode uses only the selection of these helpers: on every layout its
+reset is one numpy pass over the lower levels that sets each vertex whose
+winner bit differs from its parity back to ``parity << top | dirty``.
 """
 
 from __future__ import annotations
@@ -101,9 +104,8 @@ class SolverStats:
     additions: int = 0
     resets: int = 0
     freezes: int = 0
-    # vertices evaluated; basic mode evaluates every non-Z vertex of a pass,
-    # freezing mode skips vertices whose successors' winner bits have not
-    # changed
+    # vertices evaluated; both modes skip the vertices whose successors'
+    # winner bits have not changed since their last evaluation
     evaluations: int = 0
     wall_time_s: float = 0.0
     state_bytes: int = 0
@@ -145,51 +147,7 @@ def _check_deadline(deadline: float | None) -> None:
         raise SolveTimeoutError("solver deadline exceeded")
 
 
-# ---------------------------------------------------------------- basic
-
-
-def _basic_scalar(game, deadline, stats) -> bytearray:
-    n = game.n
-    succ = game.successors
-    par = game._parity_ints
-    own = game._owner_ints
-    z = bytearray(n)
-    stats.state_bytes = n
-    levels = game.levels
-    li = 0
-    while li < len(levels):
-        _check_deadline(deadline)
-        stats.passes += 1
-        p, lo, hi = levels[li]
-        alpha = p & 1
-        adds = []
-        for v in range(lo, hi):
-            if z[v]:
-                continue
-            stats.evaluations += 1
-            ow = own[v]
-            res = 1 - ow
-            for u in succ[v]:
-                if (par[u] ^ z[u]) == ow:
-                    res = ow
-                    break
-            if res != alpha:
-                adds.append(v)
-        if adds:
-            for v in adds:
-                z[v] = 1
-            stats.additions += len(adds)
-            stats.resets += 1
-            for w in range(lo):
-                if z[w]:
-                    z[w] = 0
-            li = 0
-        else:
-            li += 1
-    return z
-
-
-# ---------------------------------------------------------------- freezing
+# ---------------------------------------------------------------- kernel
 
 
 def _flag_layout(levels: int) -> tuple[str, int]:
@@ -328,7 +286,7 @@ def _wide_helpers(flags, parb, wshift):
     return select, sweep, thaw
 
 
-def _freezing(game, deadline, stats):
+def _dfi(game, deadline, stats, freeze):
     n = game.n
     succ = game.successors
     pred = game.predecessors
@@ -409,12 +367,17 @@ def _freezing(game, deadline, stats):
         if added:
             stats.additions += added
             stats.resets += 1
-            if lo:
+            if lo and freeze:
                 stats.freezes += sweep(li, lo, lose)
                 mark_predecessors(select(lose | dirty, 0, lo))
+            elif lo:
+                # basic mode: every lower distraction is reset
+                reset = np.flatnonzero(flags[:lo] >> wshift != parb[:lo])
+                flags[reset] = parb[reset].astype(code) << wshift | dirty
+                mark_predecessors(reset.tolist() if len(reset) <= _K else reset)
             li = 0
         else:
-            if lo:
+            if lo and freeze:
                 thaw(li, lo)
             li += 1
     z = ((flags >> wshift).astype(np.uint8) ^ parb).tobytes()
@@ -437,12 +400,9 @@ def solve_detailed(game: ParityGame, options: SolverOptions | None = None) -> Df
     t0 = time.perf_counter()
     deadline = _deadline(opts.timeout_s, t0)
 
-    st = None
+    freeze = opts.mode == "freezing"
     try:
-        if opts.mode == "basic":
-            z = _basic_scalar(sorted_game, deadline, stats)
-        else:
-            z, st = _freezing(sorted_game, deadline, stats)
+        z, st = _dfi(sorted_game, deadline, stats, freeze)
     except SolveTimeoutError as exc:
         stats.wall_time_s = time.perf_counter() - t0
         exc.stats = stats
@@ -453,7 +413,7 @@ def solve_detailed(game: ParityGame, options: SolverOptions | None = None) -> Df
     own = sorted_game._owner_ints
     n = sorted_game.n
     winner_int = [par[v] ^ (1 if z[v] else 0) for v in range(n)]
-    if st is not None:
+    if freeze:
         strategy_int: list[int | None] = [
             (int(st[v]) if (own[v] == winner_int[v] and st[v] >= 0) else None) for v in range(n)
         ]

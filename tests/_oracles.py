@@ -1,10 +1,12 @@
 """Brute-force reference implementations used to pin expected values.
 
 These deliberately share no code with the production paths: the attractor
-is the textbook iterate-until-stable set computation, reachability is a
-plain BFS, and the freezing reference is a plain per-pass loop over every
-vertex that imports nothing from ``parityfix.solver``, with event
-callbacks for the tests that check the freeze discipline.
+is the textbook iterate-until-stable set computation and reachability is a
+plain BFS.  The DFI references import nothing from ``parityfix.solver``:
+``freezing_loop`` (reported by ``reference_freezing``) and ``basic_loop``
+(reported by ``reference_basic``) are plain per-pass loops over every
+vertex of a level, the freezing one with event callbacks for the tests
+that check the freeze discipline.
 """
 
 from __future__ import annotations
@@ -224,3 +226,62 @@ def reference_freezing(game: pf.ParityGame, hooks: FreezingEvents | None = None)
         strategy.append(bwd[st[s]] if own[s] == w and st[s] >= 0 else None)
     distractions = frozenset(bwd[s] for s in range(game.n) if z[s])
     return LoopOutcome(pf.Solution(tuple(winner), tuple(strategy)), stats, distractions)
+
+
+def basic_loop(game, stats):
+    """Basic DFI on a priority-sorted game, one plain loop per pass.
+
+    Every pass evaluates every non-Z vertex of its level, and every reset
+    clears all lower distractions.  The production kernel must reproduce its
+    distractions and pass, addition and reset counts.  Returns the z bytes.
+    """
+    n = game.n
+    succ = game.successors
+    par = game._parity_ints
+    own = game._owner_ints
+    z = bytearray(n)
+    stats.state_bytes = n
+    levels = game.levels
+    li = 0
+    while li < len(levels):
+        stats.passes += 1
+        p, lo, hi = levels[li]
+        alpha = p & 1
+        adds = []
+        for v in range(lo, hi):
+            if z[v]:
+                continue
+            stats.evaluations += 1
+            ow = own[v]
+            res = 1 - ow
+            for u in succ[v]:
+                if (par[u] ^ z[u]) == ow:
+                    res = ow
+                    break
+            if res != alpha:
+                adds.append(v)
+        if adds:
+            for v in adds:
+                z[v] = 1
+            stats.additions += len(adds)
+            stats.resets += 1
+            for w in range(lo):
+                if z[w]:
+                    z[w] = 0
+            li = 0
+        else:
+            li += 1
+    return z
+
+
+def reference_basic(game: pf.ParityGame) -> LoopOutcome:
+    """``basic_loop`` on ``game``, reported in the input's vertex order;
+    every strategy is ``None``."""
+    sorted_game, perm = pf.sort_by_priority(game)
+    stats = LoopStats()
+    z = basic_loop(sorted_game, stats)
+    par = sorted_game._parity_ints
+    fwd, bwd = perm.forward, perm.backward
+    winner = tuple(pf.Player(par[fwd[v]] ^ z[fwd[v]]) for v in range(game.n))
+    distractions = frozenset(bwd[s] for s in range(game.n) if z[s])
+    return LoopOutcome(pf.Solution(winner, (None,) * game.n), stats, distractions)

@@ -218,6 +218,18 @@ class TestWriteGame:
         game = pf.parse_pgsolver(text)
         assert pf.parse_pgsolver(pf.write_pgsolver(game)).label == ("loop",)
 
+    @pytest.mark.parametrize("label", ['a"b', "a\nb", '"'])
+    def test_unwritable_label_rejected(self, label):
+        # the reader would reject the text, so the writer refuses to make it
+        game = pf.ParityGame([0, 1], [0, 1], [[1], [0]], original_id=[4, 7], label=[None, label])
+        with pytest.raises(ValueError, match="vertex 7"):
+            pf.write_pgsolver(game)
+
+    def test_other_labels_roundtrip(self):
+        labels = ["", "a\rb", "x;y", "\t", "é", "a'b"]
+        game = pf.ParityGame([0] * 6, [0] * 6, [[v] for v in range(6)], label=labels)
+        assert pf.parse_pgsolver(pf.write_pgsolver(game)).label == tuple(labels)
+
     @settings(max_examples=80, deadline=None)
     @given(st.integers(0, 10**9))
     def test_generator_output_roundtrips(self, seed):

@@ -1,3 +1,5 @@
+from itertools import chain
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -136,6 +138,17 @@ class TestArrays:
                 preds[u].append(v)
         assert game.predecessors == tuple(map(tuple, preds))
 
+    @pytest.mark.parametrize("target", [-1, 20_000, 2**40, 2**70])
+    def test_dangling_edge_of_a_large_game(self, target):
+        # the checked CSR of the clean game holds the targets unchanged
+        n = 20_000
+        successors = [[(v + 1) % n] for v in range(n)]
+        assert pf.ParityGame([0] * n, [0] * n, successors)._csr[1].tolist() == list(chain(*successors))
+        successors[19_000] = [0, target]
+        with pytest.raises(pf.DanglingEdgeError) as info:
+            pf.ParityGame([0] * n, [0] * n, successors)._csr
+        assert (info.value.vertex, info.value.target) == (19_000, target)
+
     def test_empty_game_arrays(self):
         game = pf.ParityGame([], [], [])
         assert game.predecessors == ()
@@ -155,3 +168,37 @@ def test_invalid_timeout_rejected(g1, solver, timeout_s):
     # NaN would never pass and a negative deadline would pass at once
     with pytest.raises(ValueError, match="nonnegative"):
         _SOLVERS_WITH_TIMEOUT[solver](g1, timeout_s)
+
+
+_SOLVERS_ON_GAMES = {
+    "dfi": pf.solve,
+    "dfi-basic": pf.solve_basic,
+    "zielonka": pf.solve_zielonka,
+    "bfl": pf.bfl_win0,
+    "preprocess": pf.apply_preprocessing,
+}
+
+# successor lists of three vertices with priorities 0, 1, 2
+_MALFORMED = {
+    "sink": [[1], [], [0]],
+    "target-minus-1": [[1], [-1], [0]],
+    "target-n": [[1], [2, 3], [0]],
+    "target-2**40": [[1], [2**40], [0]],
+    "target-2**70": [[1], [0, 2**70], [0]],
+    "sink-after-dangling": [[3], [0], []],
+}
+
+
+@pytest.mark.parametrize("priority", [[0, 1, 2], [2, 1, 0]], ids=["sorted", "unsorted"])
+@pytest.mark.parametrize("case", sorted(_MALFORMED))
+@pytest.mark.parametrize("solver", sorted(_SOLVERS_ON_GAMES))
+def test_malformed_game_raises_validation_error(solver, case, priority):
+    # every solver raises the error ``validate`` meets first, never a numpy
+    # error or a result
+    game = pf.ParityGame(priority, [0, 1, 0], _MALFORMED[case])
+    with pytest.raises(pf.ValidationError) as expected:
+        pf.validate(game)
+    with pytest.raises(pf.ValidationError) as got:
+        _SOLVERS_ON_GAMES[solver](game)
+    assert type(got.value) is type(expected.value)
+    assert str(got.value) == str(expected.value)

@@ -8,7 +8,7 @@ import parityfix as pf
 from parityfix import Player
 from parityfix import solver as solver_module
 
-from _oracles import FreezingEvents, reference_freezing
+from _oracles import FreezingEvents, reference_basic, reference_freezing
 from conftest import seeded_game
 
 
@@ -168,6 +168,23 @@ def _run_record(out):
     return out.solution, out.distractions, (st.passes, st.additions, st.resets, st.freezes)
 
 
+_REFERENCE = {"freezing": reference_freezing, "basic": reference_basic}
+
+
+def _check_mode(game, mode):
+    """Solve ``game`` in ``mode`` and compare the run with its reference
+    loop, which evaluates every vertex the kernel evaluates and more."""
+    out = pf.solve_detailed(game, pf.SolverOptions(mode=mode))
+    reference = _REFERENCE[mode](game)
+    assert _run_record(out) == _run_record(reference), mode
+    assert out.stats.evaluations <= reference.stats.evaluations
+    return out
+
+
+def _check_modes(game):
+    return [_check_mode(game, mode) for mode in _REFERENCE]
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.integers(0, 10**9))
 def test_engines_bit_identical(seed):
@@ -175,12 +192,18 @@ def test_engines_bit_identical(seed):
     assert _run_record(pf.solve_detailed(game)) == _run_record(reference_freezing(game))
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10**9))
+def test_basic_kernel_matches_reference(seed):
+    _check_mode(seeded_game(seed, max_n=60, max_d=8), "basic")
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10**9))
 def test_sparse_huge_priorities_match_reference(seed):
     base = seeded_game(seed, max_n=40)
     game = pf.ParityGame([p * 2**33 + (p & 1) for p in base.priority], base.owner, base.successors)
-    assert _run_record(pf.solve_detailed(game)) == _run_record(reference_freezing(game))
+    _check_modes(game)
 
 
 @pytest.mark.parametrize("mode", ["freezing", "basic"])
@@ -270,21 +293,19 @@ def test_engines_bit_identical_wide_layout(seed, levels):
 def test_flag_layout_boundary(levels, word_bytes):
     for seed in range(8):
         game = _leveled_game(seed, levels)
-        out = pf.solve_detailed(game)
-        assert out.stats.state_bytes == game.n * (word_bytes + 4)
-        assert _run_record(out) == _run_record(reference_freezing(game))
+        for out in _check_modes(game):
+            assert out.stats.state_bytes == game.n * (word_bytes + 4)
 
 
 def test_engines_bit_identical_uint32_layout(monkeypatch):
     monkeypatch.setattr(solver_module, "_flag_layout", lambda levels: ("I", 31))
     for seed in range(6):
         game = seeded_game(seed, min_n=200, max_n=600, max_d=8, self_loop=0.1 * (seed & 1))
-        out = pf.solve_detailed(game)
-        assert out.stats.state_bytes == game.n * 8
-        assert _run_record(out) == _run_record(reference_freezing(game))
+        for out in _check_modes(game):
+            assert out.stats.state_bytes == game.n * 8
 
 
-@pytest.mark.parametrize("mode, state_bytes", [("freezing", 5), ("basic", 1)])
+@pytest.mark.parametrize("mode, state_bytes", [("freezing", 5), ("basic", 5)])
 def test_timeout_carries_partial_stats(monkeypatch, mode, state_bytes):
     # a clock that ticks once per reading: the start, one per pass, so the
     # deadline passes at the check before pass k + 1, and the stop
@@ -353,11 +374,11 @@ def test_frozen_strategy_survives_until_thaw():
 
 
 def test_state_bytes_reported(g2):
-    # freezing mode: packed flag byte plus 4-byte strategy slot per vertex
+    # both modes: packed flag byte plus 4-byte strategy slot per vertex
     out = pf.solve_detailed(g2)
     assert out.stats.state_bytes == g2.n * 5
     basic = pf.solve_detailed(g2, pf.SolverOptions(mode="basic"))
-    assert basic.stats.state_bytes == g2.n
+    assert basic.stats.state_bytes == g2.n * 5
 
 
 def test_counters_populated(g2):
@@ -415,8 +436,9 @@ def test_hook_event_stream_pinned():
     assert digest.hexdigest() == _HOOK_DIGEST
 
 
-# per game: passes, additions, resets, evaluations and the first 16 hex
-# digits of the SHA-256 of the sorted distractions
+# per game, from the basic reference loop: passes, additions, resets,
+# evaluations and the first 16 hex digits of the SHA-256 of the sorted
+# distractions
 _BASIC_PINNED = {
     (11, 0.0): (111, 251, 68, 956, "1e9ab7a9ecd635db"),
     (12, 0.0): (2814, 7981, 1527, 24199, "858407aabb295fd8"),
@@ -424,12 +446,23 @@ _BASIC_PINNED = {
     (14, 0.1): (24948, 123405, 16252, 444805, "245987e5dd9e13a3"),
 }
 
+# the kernel's evaluations in basic mode on the same games: it skips the
+# vertices whose successors' winner bits have not changed
+_BASIC_KERNEL_EVALUATIONS = {(11, 0.0): 574, (12, 0.0): 15125, (13, 0.1): 1542, (14, 0.1): 202725}
+
+
+def _basic_record(out):
+    st = out.stats
+    distractions = hashlib.sha256(repr(sorted(out.distractions)).encode()).hexdigest()[:16]
+    return st.passes, st.additions, st.resets, st.evaluations, distractions
+
 
 def test_basic_mode_pinned():
-    got = {}
     for seed, self_loop in _PINNED_GAMES:
-        out = pf.solve_detailed(_pinned_game(seed, self_loop), pf.SolverOptions(mode="basic"))
-        st = out.stats
-        distractions = hashlib.sha256(repr(sorted(out.distractions)).encode()).hexdigest()[:16]
-        got[seed, self_loop] = (st.passes, st.additions, st.resets, st.evaluations, distractions)
-    assert got == _BASIC_PINNED
+        game = _pinned_game(seed, self_loop)
+        reference = _basic_record(reference_basic(game))
+        kernel = _basic_record(pf.solve_detailed(game, pf.SolverOptions(mode="basic")))
+        assert reference == _BASIC_PINNED[seed, self_loop]
+        # the same run but for the evaluations
+        assert kernel[:3] + kernel[4:] == reference[:3] + reference[4:]
+        assert kernel[3] == _BASIC_KERNEL_EVALUATIONS[seed, self_loop] <= reference[3]
