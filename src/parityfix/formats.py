@@ -13,15 +13,22 @@ Both ``\\n`` and ``\\r\\n`` line endings are accepted; output always uses
 from the records.  An empty game serializes to an empty file since there
 is no sensible max-id for it.
 
-Game files are read by one regex pass over the whole text, from after an
-optional header on the first non-blank line.  The pass is accepted only
-when the header, the record matches and the blank lines (exactly
-``[ \\t]*\\r?``; a form feed or a second ``\\r`` is not blank) add up to
-the number of lines, ids are distinct, every target is declared and no
-row repeats a target.  Anything else (a late header, an owner written
-``01``, a non-ASCII digit, any error) hands the whole text to the line
-scanner, which builds the same game or raises.  So every error, with its
-line, column and message, comes from the line scanner.
+Game files are read by an array reader, from after an optional header on
+the first non-blank line.  It takes the UTF-8 bytes of the text as a
+``uint8`` array, in blocks of at most ``_BLOCK`` bytes (64 KiB) cut at line
+ends, so its transient arrays stay small; a line longer than a block is a
+block of its own.  In each block a 256-entry table classifies the bytes,
+the span of each label (a line holds 0 or 2 double quotes) becomes one
+token, every line must be blank (exactly ``[ \\t]*\\r?``; a form feed or a
+second ``\\r`` is not blank) or a record ``N N [01] N (, N)* L? ;``, a
+``\\r`` may only end a line, and digit runs of at most 18 digits become
+int64 numbers.  Over the whole text, ids must be distinct, every target
+must be declared and no row may repeat a target.  The reader then builds
+the game straight from its CSR arrays.  Anything else (a late header, an
+owner written ``01``, a 19-digit number, a non-ASCII digit, any error)
+hands the whole text to the line scanner, which builds the same game or
+raises.  So every error, with its line, column and message, comes from the
+line scanner.
 """
 
 from __future__ import annotations
@@ -29,13 +36,14 @@ from __future__ import annotations
 import logging
 import re
 
+import numpy as np
+
 from .game import (
     DanglingEdgeError,
     DuplicateEdgeError,
     ParityGame,
     Player,
     Solution,
-    ValidationError,
     validate,
 )
 
@@ -44,15 +52,28 @@ log = logging.getLogger(__name__)
 _INT = re.compile(r"\d+")
 _LABEL = re.compile(r'"([^"]*)"')
 
-# Whole-text patterns.  A record or a blank line never spans a line break.  A
-# label keeps its quotes, so that an empty label is told apart from none.
+# The header, on the first non-blank line, ends where the array reader starts.
 _HEADER = re.compile(r"(?:[ \t]*\r?\n)*[ \t]*parity[ \t]*[0-9]+[ \t]*;[ \t]*\r?$", re.M)
-_RECORD = re.compile(
-    r"^[ \t]*([0-9]+)[ \t]+([0-9]+)[ \t]+([01])[ \t]+([0-9]+(?:[ \t]*,[ \t]*[0-9]+)*)"
-    r'[ \t]*("[^"\n]*")?[ \t]*;[ \t]*\r?$',
-    re.M,
-)
-_BLANK = re.compile(r"^[ \t]*\r?$", re.M)
+
+_BLOCK = 1 << 16  # bytes per block of the array reader, cut at a line end
+
+# Byte classes of the array reader, a translation table.  Spaces and
+# carriage returns make no tokens; digits and labels (quotes included, once
+# reclassified as _QUOTED) make one token per run; every other byte is a
+# token of its own.
+_SPACE, _CR, _DIGIT, _QUOTED, _COMMA, _SEMI, _NL, _QUOTE, _OTHER = range(9)
+_CLASS = bytearray([_OTHER]) * 256
+_CLASS[ord("0") : ord("9") + 1] = bytes([_DIGIT]) * 10
+_CLASS[ord(" ")] = _CLASS[ord("\t")] = _SPACE
+_CLASS[ord("\r")] = _CR
+_CLASS[ord(",")] = _COMMA
+_CLASS[ord(";")] = _SEMI
+_CLASS[ord("\n")] = _NL
+_CLASS[ord('"')] = _QUOTE
+_CLASS = bytes(_CLASS)
+_MAX_DIGITS = 18  # every number of this many digits fits in int64
+# what the '0' bytes add to a number of k digits read as byte values
+_ZEROS = np.array([ord("0") * (10**k - 1) // 9 for k in range(_MAX_DIGITS + 1)], dtype=np.int64)
 
 
 class ParseError(Exception):
@@ -139,60 +160,156 @@ def parse_pgsolver(text: str | bytes, *, permissive: bool = False) -> ParityGame
     """
     if isinstance(text, bytes):
         text = text.decode("utf-8")
-    game = _parse_records(text)
-    if game is not None:
-        try:
-            validate(game)
-            return game
-        except ValidationError:
-            pass  # a dangling or repeated target; the scanner reports it in file ids
-    return _scan_pgsolver(text, permissive=permissive)
+    game = _read_arrays(text)
+    if game is None:
+        game = _scan_pgsolver(text, permissive=permissive)
+    return game
 
 
-def _parse_records(text: str) -> ParityGame | None:
-    """The game of a text of well-formed lines only, or None for the line scanner.
-
-    The caller still validates the result: a target beyond the last id of
-    a text with ids ``0..n-1`` in order, or a repeated target, is left to
-    ``validate``.
-    """
+def _read_arrays(text: str) -> ParityGame | None:
+    """The game of a text of well-formed lines only, or None for the line scanner."""
     header = _HEADER.match(text)
-    ids: list[str] = []
-    priorities: list[str] = []
-    owners: list[str] = []
-    succ_texts: list[str] = []
-    labels: list[str | None] = []
-    for m in _RECORD.finditer(text, header.end() if header else 0):
-        vid, priority, owner, succ, label = m.groups()
-        ids.append(vid)
-        priorities.append(priority)
-        owners.append(owner)
-        succ_texts.append(succ)
-        labels.append(label)
-    n = len(ids)
-    blanks = sum(1 for _ in _BLANK.finditer(text))
-    if n + blanks + (header is not None) != text.count("\n") + 1:
+    try:
+        raw = text.encode()
+    except UnicodeEncodeError:  # a lone surrogate
         return None
-    original_id = list(map(int, ids))
-    if original_id == list(range(n)):
-        successors = [tuple(map(int, s.split(","))) for s in succ_texts]
-    else:
-        index_of = dict(zip(original_id, range(n)))
-        if len(index_of) != n:
+    blocks = []
+    records = 0
+    start = header.end() if header else 0  # the header is ASCII: its end is a byte offset
+    while start < len(raw):
+        stop = len(raw)
+        if start + _BLOCK < stop:
+            stop = (
+                raw.rfind(b"\n", start, start + _BLOCK) + 1
+                or raw.find(b"\n", start + _BLOCK) + 1
+                or stop
+            )
+        block = _read_block(raw[start:stop])
+        if block is None:
             return None
-        try:
-            successors = [
-                tuple(map(index_of.__getitem__, map(int, s.split(",")))) for s in succ_texts
-            ]
-        except KeyError:
-            return None
-    return ParityGame(
-        list(map(int, priorities)),
-        list(map(int, owners)),
-        successors,
-        original_id=original_id,
-        label=[label and label[1:-1] for label in labels],
+        block[-2] += records  # labelled records, as indices into the game
+        block[-1] += start  # label spans, as offsets into ``raw``
+        records += len(block[0])
+        blocks.append(block)
+        start = stop
+    if not blocks:
+        return ParityGame([], [], [])
+    ids, priority, owner, degree, succ, label_at, label_span = (
+        np.concatenate(part) for part in zip(*blocks)
     )
+    n = len(ids)
+    if n >= 2**31:
+        return None
+    if np.array_equal(ids, np.arange(n)):
+        if succ.max(initial=-1) >= n:
+            return None
+        targets = succ
+    else:
+        order = np.argsort(ids, kind="stable")
+        sorted_ids = ids[order]
+        if (sorted_ids[1:] == sorted_ids[:-1]).any():
+            return None
+        at = np.searchsorted(sorted_ids, succ)
+        np.minimum(at, n - 1, out=at)
+        if (sorted_ids[at] != succ).any():
+            return None
+        targets = order[at]
+    rows = np.repeat(np.arange(n, dtype=np.int64), degree)
+    keys = np.sort(rows * n + targets)
+    if (keys[1:] == keys[:-1]).any():
+        return None
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(degree, out=indptr[1:])
+    label: list[str | None] = [None] * n
+    for v, (a, b) in zip(label_at.tolist(), label_span.reshape(-1, 2).tolist()):
+        label[v] = raw[a:b].decode()
+    return ParityGame._from_csr(
+        priority, owner.astype(np.uint8), indptr, targets.astype(np.int32), ids.tolist(), label
+    )
+
+
+def _read_block(block: bytes) -> list[np.ndarray] | None:
+    """The records of a block of whole lines, or None when a line is not well-formed.
+
+    Returns the records' ids, priorities, owners, degrees and successor ids,
+    then the labelled records' indices within the block and the flat
+    ``[start, stop)`` byte offsets of their labels within the block.
+    """
+    if not block.endswith(b"\n"):  # the end of the text ends the last line
+        block += b"\n"
+    data = np.frombuffer(block, dtype=np.uint8)
+    cls = np.frombuffer(block.translate(_CLASS), dtype=np.uint8)
+    size = len(cls)
+    quotes = np.flatnonzero(cls == _QUOTE)
+    if len(quotes):
+        if len(quotes) & 1:
+            return None
+        line = np.searchsorted(np.flatnonzero(cls == _NL), quotes)
+        open_line, close_line = line[0::2], line[1::2]
+        if (open_line != close_line).any() or (open_line[1:] == close_line[:-1]).any():
+            return None  # a label crosses a line end, or a line has more than two quotes
+        span = np.zeros(size + 1, dtype=np.int32)
+        span[quotes[0::2]] = 1
+        span[quotes[1::2] + 1] = -1
+        cls = np.where(np.cumsum(span[:-1]) > 0, np.uint8(_QUOTED), cls)
+    cr = np.flatnonzero(cls == _CR)
+    if len(cr) and (cls[cr + 1] != _NL).any():
+        return None
+    first = np.empty(size, dtype=bool)
+    first[0] = True
+    np.not_equal(cls[1:], cls[:-1], out=first[1:])
+    first &= cls >= _DIGIT
+    first |= cls >= _COMMA
+    pos = np.flatnonzero(first)
+    kind = cls[pos]
+    # Lines: each ends with its newline token; ``width`` counts the others.
+    ends = np.flatnonzero(kind == _NL)
+    starts = np.empty_like(ends)
+    starts[0] = 0
+    starts[1:] = ends[:-1] + 1
+    width = ends - starts
+    record = width > 0
+    labelled = record & (width >= 6) & (kind.take(ends - 2, mode="clip") == _QUOTED)
+    last_succ = np.where(record, width - 2 - labelled, -1)  # index in the line
+    if (record & ((width < 5) | (kind[ends - 1] != _SEMI) | (last_succ & 1 == 0))).any():
+        return None
+    # Up to the last successor a record line reads N N N N , N , N ...
+    col = np.arange(len(kind)) - np.repeat(starts, width + 1)
+    body = col <= np.repeat(last_succ, width + 1)
+    comma = (col >= 4) & (col & 1 == 0)
+    if (body & (kind != np.where(comma, np.uint8(_COMMA), np.uint8(_DIGIT)))).any():
+        return None
+    # Numbers, in digit token order: a record's id, priority, owner, successors.
+    is_digit = cls == _DIGIT
+    end = np.flatnonzero(is_digit[:-1] > is_digit[1:]) + 1
+    length = end - pos[kind == _DIGIT]
+    longest = length.max(initial=0)
+    if longest > _MAX_DIGITS:
+        return None
+    number = np.zeros(len(end), dtype=np.int64)
+    for j in range(longest, 0, -1):  # Horner, the numbers aligned at their last digit
+        number *= 10
+        number += data[end - j] * (length >= j)
+    number -= _ZEROS[length]
+    degree = (last_succ[record] - 1) // 2
+    head = np.zeros(len(degree), dtype=np.int64)
+    np.cumsum(degree[:-1] + 3, out=head[1:])
+    owner = number[head + 2]
+    if ((owner > 1) | (length[head + 2] != 1)).any():
+        return None
+    succ = np.ones(len(number), dtype=bool)
+    succ[head] = succ[head + 1] = succ[head + 2] = False
+    label_span = quotes.copy()  # every quote pair is a label now
+    label_span[0::2] += 1
+    return [
+        number[head],
+        number[head + 1],
+        owner,
+        degree,
+        number[succ],
+        np.flatnonzero(labelled[record]),
+        label_span,
+    ]
 
 
 def _scan_pgsolver(text: str, *, permissive: bool = False) -> ParityGame:

@@ -10,6 +10,7 @@ the caller's namespace.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import cached_property
@@ -136,6 +137,40 @@ class ParityGame:
         )
         self.label: tuple[str | None, ...] = tuple(label) if label is not None else (None,) * n
 
+    @classmethod
+    def _from_csr(
+        cls,
+        priority: np.ndarray,
+        owner: np.ndarray,
+        indptr: np.ndarray,
+        targets: np.ndarray,
+        original_id: Sequence[int],
+        label: Sequence[str | None],
+        vertices: Sequence[int] | None = None,
+    ) -> "ParityGame":
+        """The game of CSR arrays that ``_csr`` would accept: every row has a
+        successor and every target is in range.
+
+        ``owner`` holds bits (uint8), ``indptr`` int64 and ``targets`` int32
+        values; they become the ``_owner_bits`` and ``_csr`` caches.  The
+        successor lists hold one fresh int object per edge, which is fastest
+        to build, or, when ``vertices`` (with ``vertices[v] == v``) is given,
+        that sequence's objects, which costs one object per vertex.
+        """
+        game = cls.__new__(cls)
+        game.priority = tuple(priority.tolist())
+        game.owner = tuple(map(_PLAYER.__getitem__, owner.tolist()))
+        flat = targets.tolist()
+        if vertices is not None:
+            flat = list(map(vertices.__getitem__, flat))
+        bounds = indptr.tolist()
+        game.successors = tuple(tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:]))
+        game.original_id = tuple(original_id)
+        game.label = tuple(label)
+        game._owner_bits = owner
+        game._csr = indptr, targets, np.repeat(owner, np.diff(indptr))
+        return game
+
     @property
     def n(self) -> int:
         return len(self.priority)
@@ -196,10 +231,13 @@ class ParityGame:
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.fromiter(map(len, self.successors), dtype=np.int64, count=n), out=indptr[1:])
         try:
-            targets = np.fromiter(
-                chain.from_iterable(self.successors), dtype=np.int32, count=int(indptr[-1])
-            )
-        except OverflowError:  # a target beyond 32 bits (numpy 1.x wraps it instead)
+            with warnings.catch_warnings():
+                # numpy 1.x wraps a target beyond 32 bits with this warning
+                warnings.simplefilter("error", DeprecationWarning)
+                targets = np.fromiter(
+                    chain.from_iterable(self.successors), dtype=np.int32, count=int(indptr[-1])
+                )
+        except (OverflowError, DeprecationWarning):  # a target beyond 32 bits
             self._raise_malformed()
         counts = np.diff(indptr)
         # negative targets wrap to values of at least 2**31
@@ -323,20 +361,25 @@ def sort_by_priority(game: ParityGame) -> tuple[ParityGame, SortPermutation]:
     n = game.n
     if game.is_priority_sorted:
         return game, SortPermutation.identity(n)
-    game._csr  # raises on a sink or a dangling edge before it is renumbered
-    backward = tuple(sorted(range(n), key=lambda v: game.priority[v]))
-    forward_list = [0] * n
-    for internal, external in enumerate(backward):
-        forward_list[external] = internal
-    forward = tuple(forward_list)
-    sorted_game = ParityGame(
-        priority=[game.priority[e] for e in backward],
-        owner=[game.owner[e] for e in backward],
-        successors=[[forward[u] for u in game.successors[e]] for e in backward],
-        original_id=[game.original_id[e] for e in backward],
-        label=[game.label[e] for e in backward],
+    indptr, targets, _ = game._csr  # raises on a sink or a dangling edge
+    priority = np.array(game.priority, dtype=np.int64 if game.max_priority < 2**63 else object)
+    backward = np.argsort(priority, kind="stable")
+    forward = np.empty(n, dtype=np.int32)
+    forward[backward] = np.arange(n, dtype=np.int32)
+    pos, sorted_indptr = _positions(indptr, backward)
+    order = backward.tolist()
+    forward_ids = tuple(forward.tolist())
+    sorted_game = ParityGame._from_csr(
+        priority[backward],
+        game._owner_bits[backward],
+        sorted_indptr,
+        forward[targets[pos]],
+        list(map(game.original_id.__getitem__, order)),
+        list(map(game.label.__getitem__, order)),
+        # the successor lists share the permutation's int objects, one per vertex
+        list(map(forward_ids.__getitem__, order)),
     )
-    return sorted_game, SortPermutation(forward, backward)
+    return sorted_game, SortPermutation(forward_ids, tuple(order))
 
 
 def apply_backward(sorted_game: ParityGame, perm: SortPermutation) -> ParityGame:

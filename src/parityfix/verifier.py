@@ -165,9 +165,14 @@ def _witness_cycle(comp: list[int], adj: dict[int, list[int]], anchor: int) -> t
 
 
 def verify(game: ParityGame, sol: Solution) -> VerificationReport:
-    """Check a claimed solution; all problems come back as report entries."""
+    """Check a claimed solution; all problems come back as report entries.
+
+    A game with a sink or a dangling edge raises the ``ValidationError``
+    every solver raises on it.
+    """
     if sol.n != game.n:
         raise ValueError("solution does not match the game")
+    game._csr  # raises on a sink or a dangling edge, as every solver does
     violations: list[Violation] = []
     index = [-1] * game.n
     lowlink = [0] * game.n

@@ -1,5 +1,7 @@
 import logging
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -180,26 +182,92 @@ def _outcome(parse, text: str, permissive: bool):
         return type(exc), getattr(exc, "line", None), getattr(exc, "column", None), str(exc)
 
 
+def _check_outcome(text: str, permissive: bool = False) -> None:
+    """``parse_pgsolver`` gives the line scanner's game or error."""
+    want = _outcome(formats._scan_pgsolver, text, permissive)
+    got = _outcome(pf.parse_pgsolver, text, permissive)
+    if isinstance(want, pf.ParityGame):
+        assert isinstance(got, pf.ParityGame) and games_equal(got, want)
+    else:
+        assert got == want
+
+
+def _csr_equal(a: pf.ParityGame, b: pf.ParityGame) -> bool:
+    return all(
+        x.dtype == y.dtype and np.array_equal(x, y)
+        for x, y in zip((*a._csr, a._owner_bits), (*b._csr, b._owner_bits))
+    )
+
+
+def _block_sizes():
+    """The reader's block size, then 16 bytes, so most lines are cut into blocks of their own."""
+    for block in (formats._BLOCK, 16):
+        with mock.patch.object(formats, "_BLOCK", block):
+            yield block
+
+
 class TestWholeTextReader:
-    """The whole-text pass against the line scanner it falls back to."""
+    """The array reader against the line scanner it falls back to."""
 
     @settings(max_examples=300, deadline=None)
     @given(pgsolver_texts())
     def test_same_game_as_line_scanner(self, text):
-        fast = formats._parse_records(text)
-        assert fast is not None
-        assert games_equal(fast, formats._scan_pgsolver(text))
-        assert games_equal(pf.parse_pgsolver(text), fast)
+        want = formats._scan_pgsolver(text)
+        for _ in _block_sizes():
+            fast = formats._read_arrays(text)
+            assert fast is not None
+            assert games_equal(fast, want) and _csr_equal(fast, want)
+            assert games_equal(pf.parse_pgsolver(text), want)
 
     @settings(max_examples=400, deadline=None)
     @given(pgsolver_texts(mutate=True), st.booleans())
     def test_same_outcome_as_line_scanner(self, text, permissive):
-        got = _outcome(pf.parse_pgsolver, text, permissive)
-        want = _outcome(formats._scan_pgsolver, text, permissive)
-        if isinstance(want, pf.ParityGame):
-            assert isinstance(got, pf.ParityGame) and games_equal(got, want)
-        else:
-            assert got == want
+        for _ in _block_sizes():
+            _check_outcome(text, permissive)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10**9), st.booleans())
+    def test_seeded_arrays_match_constructor(self, seed, sparse):
+        game = seeded_game(seed, max_n=200)
+        if sparse:  # ids with gaps, written in another order than the vertices
+            ids = [7 * v + 3 for v in range(game.n)]
+            ids.reverse()
+            game = pf.ParityGame(game.priority, game.owner, game.successors, original_id=ids)
+        parsed = pf.parse_pgsolver(pf.write_pgsolver(game))
+        assert "_csr" in vars(parsed) and "_owner_bits" in vars(parsed)
+        rebuilt = pf.ParityGame(
+            parsed.priority, parsed.owner, parsed.successors, parsed.original_id, parsed.label
+        )
+        assert _csr_equal(parsed, rebuilt)
+
+    @pytest.mark.parametrize(
+        "text, read",
+        [
+            ("1234567890123456789 0 0 1234567890123456789;", False),
+            ("123456789012345678 0 0 123456789012345678;", True),
+            (f"0 0 0 {2**40};", False),
+            ("0 0 0 0;\r", True),
+            ("0 0 0 0;\n1 1 1 0,1;", True),
+            ("", True),
+            (" \n\t\r\n\n", True),
+            ("parity 3;", True),
+            ("\nparity 3;\r\n", True),
+            ("0 0 0 0;\r\r\n", False),
+            ('0 0 0 0 "a"; "b"\n', False),
+            ('0 0 0 0 "a""b";', False),
+            ('0 0 0 0 "a;\n1 0 0 0 b";', False),
+            ('0 0 0 0 "\ud800";', False),
+        ],
+    )
+    def test_edge_texts(self, text, read):
+        # ``read``: the array reader takes the text rather than the scanner
+        for _ in _block_sizes():
+            assert (formats._read_arrays(text) is not None) is read
+            _check_outcome(text)
+
+    def test_invalid_utf8_raises(self):
+        with pytest.raises(UnicodeDecodeError):
+            pf.parse_pgsolver(b'0 0 0 0 "\xff";')
 
 
 class TestWriteGame:

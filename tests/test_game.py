@@ -1,5 +1,7 @@
+import warnings
 from itertools import chain
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -101,6 +103,51 @@ class TestSortByPriority:
         assert all(perm.backward[perm.forward[v]] == v for v in range(n))
 
 
+def _sort_reference(game: pf.ParityGame) -> tuple[pf.ParityGame, pf.SortPermutation]:
+    """The sort as a stable Python sort that renumbers the successor lists."""
+    backward = sorted(range(game.n), key=game.priority.__getitem__)
+    forward = [0] * game.n
+    for internal, external in enumerate(backward):
+        forward[external] = internal
+    sorted_game = pf.ParityGame(
+        [game.priority[e] for e in backward],
+        [game.owner[e] for e in backward],
+        [[forward[u] for u in game.successors[e]] for e in backward],
+        [game.original_id[e] for e in backward],
+        [game.label[e] for e in backward],
+    )
+    return sorted_game, pf.SortPermutation(tuple(forward), tuple(backward))
+
+
+class TestSortArrays:
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 10**9), st.booleans())
+    def test_same_game_and_arrays_as_python_sort(self, seed, named):
+        game = seeded_game(seed, max_n=200, max_d=8)
+        if named:  # sparse ids and some labels ride along with their vertices
+            game = pf.ParityGame(
+                game.priority,
+                game.owner,
+                game.successors,
+                original_id=[5 * v + 2 for v in range(game.n)],
+                label=[f"v{v}" if v % 3 else None for v in range(game.n)],
+            )
+        got, perm = pf.sort_by_priority(game)
+        want, want_perm = _sort_reference(game)
+        assert perm == want_perm
+        for attr in ("priority", "owner", "successors", "original_id", "label"):
+            assert getattr(got, attr) == getattr(want, attr)
+        for a, b in zip((*got._csr, got._owner_bits), (*want._csr, want._owner_bits)):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    def test_priorities_beyond_64_bits(self):
+        game = pf.ParityGame([2**70, 1, 2**64], [0, 1, 0], [[1], [2], [0]])
+        sorted_game, perm = pf.sort_by_priority(game)
+        assert sorted_game.priority == (1, 2**64, 2**70)
+        assert perm.backward == (1, 2, 0)
+        assert sorted_game.successors == ((1,), (2,), (0,))
+
+
 class TestStats:
     def test_g1(self, g1):
         s = pf.game_stats(g1)
@@ -148,6 +195,25 @@ class TestArrays:
         with pytest.raises(pf.DanglingEdgeError) as info:
             pf.ParityGame([0] * n, [0] * n, successors)._csr
         assert (info.value.vertex, info.value.target) == (19_000, target)
+
+    def test_wrapped_target_warning_raises(self, monkeypatch):
+        # numpy 1.x converts a target beyond 32 bits with a DeprecationWarning
+        # and wraps it, here onto vertex 0
+        fromiter = np.fromiter
+
+        def wrapping_fromiter(iterable, dtype, count=-1):
+            if np.dtype(dtype) != np.int32:
+                return fromiter(iterable, dtype, count=count)
+            values = list(iterable)
+            if any(not -(2**31) <= v < 2**31 for v in values):
+                warnings.warn("out-of-bound Python integer", DeprecationWarning)
+            return np.array([v & 0xFFFFFFFF for v in values], dtype=np.uint32).view(np.int32)
+
+        monkeypatch.setattr(np, "fromiter", wrapping_fromiter)
+        game = pf.ParityGame([0, 1], [0, 1], [[1], [0, 2**32]])
+        with pytest.raises(pf.DanglingEdgeError) as info:
+            game._csr
+        assert (info.value.vertex, info.value.target) == (1, 2**32)
 
     def test_empty_game_arrays(self):
         game = pf.ParityGame([], [], [])

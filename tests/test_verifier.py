@@ -1,3 +1,4 @@
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import parityfix as pf
@@ -32,6 +33,20 @@ def broken_strategy_mutation(game: pf.ParityGame, sol: pf.Solution) -> pf.Soluti
             strategy[v] = None
             return pf.Solution(sol.winner, tuple(strategy))
     return None
+
+
+@pytest.mark.parametrize(
+    "successors, error", [([[], [0]], pf.SinkVertexError), ([[5], [0]], pf.DanglingEdgeError)]
+)
+def test_malformed_game_raises_validation_error(successors, error):
+    # the error every solver raises, not a missing strategy
+    game = pf.ParityGame([0, 1], [0, 1], successors)
+    claim = pf.Solution((Player.EVEN, Player.EVEN), (None, None))
+    with pytest.raises(error) as info:
+        pf.verify(game, claim)
+    with pytest.raises(error) as expected:
+        pf.validate(game)
+    assert str(info.value) == str(expected.value)
 
 
 class TestExamples:
