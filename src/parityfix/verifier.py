@@ -4,9 +4,23 @@ A solution is accepted when, for each player's claimed region: the
 opponent cannot leave it, every region vertex owned by the claimant has a
 strategy edge staying inside it, and in the graph restricted to strategy
 edges (claimant) plus all region-internal edges (opponent) every cycle's
-maximum priority has the claimant's parity.  The cycle condition is
-checked by peeling: SCC-decompose, test the maximum priority of every
-cyclic component, drop the maximum-priority vertices, repeat.
+maximum priority has the claimant's parity.
+
+The checks read the game's CSR arrays and two arrays built once from the
+solution: each vertex's winner and strategy target (-1 for none).  The
+local checks (escape edges, missing strategies, strategies that are not a
+region-internal edge) are whole-array comparisons over the edges.  A
+strategy self-loop is its vertex's only checked edge, so it is a cyclic
+component on its own and is checked on the spot.  The rest of the checked
+graph, both players' edges at once, since no edge of it crosses from one
+region into the other, is then trimmed: every vertex with no remaining
+in-edge or no remaining out-edge is dropped, round after round, over the
+graph's forward and reverse CSR.  Trimming keeps every cycle: each vertex
+of a cycle keeps the cycle's edges into and out of it for as long as the
+other vertices of the cycle stay, so none of them can be the first to go.
+The cycle condition is checked on the survivors by peeling: SCC-decompose,
+test the maximum priority of every cyclic component, drop the
+maximum-priority vertices, repeat.
 
 These checks are sound and complete for regions: a wrong winner map cannot
 pass them, because passing means both claimed regions are genuinely won.
@@ -15,9 +29,12 @@ pass them, because passing means both claimed regions are genuinely won.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .game import ParityGame, Player, Solution
+import numpy as np
+
+from .game import ParityGame, Player, Solution, _positions
 
 
 @dataclass(frozen=True)
@@ -73,7 +90,7 @@ class VerificationReport:
 
 def _cyclic_components(
     subset: list[int],
-    adj: dict[int, list[int]],
+    adj: Sequence[list[int]],
     index: list[int],
     lowlink: list[int],
     on_stack: bytearray,
@@ -129,7 +146,7 @@ def _cyclic_components(
     return out
 
 
-def _witness_cycle(comp: list[int], adj: dict[int, list[int]], anchor: int) -> tuple[int, ...]:
+def _witness_cycle(comp: list[int], adj: Sequence[list[int]], anchor: int) -> tuple[int, ...]:
     """A cycle through ``anchor`` inside its strongly connected component.
 
     Witnesses are for debugging; no minimality is attempted beyond a BFS.
@@ -164,53 +181,163 @@ def _witness_cycle(comp: list[int], adj: dict[int, list[int]], anchor: int) -> t
     return (anchor, *nodes)
 
 
+def _choices(strategy: Sequence[int | None], n: int) -> np.ndarray:
+    """Strategy targets: -1 for none, ``n`` for any value outside 0..n-1.
+
+    int32 holds them all, since ``_csr`` rejects games of 2**31 vertices.
+    """
+    return np.array([-1 if s is None else s if 0 <= s < n else n for s in strategy], dtype=np.int32)
+
+
+def _local_checks(
+    game: ParityGame, sol: Solution, win: np.ndarray
+) -> tuple[list[list[Violation]], np.ndarray, np.ndarray]:
+    """Each player's local faults and self-loop witnesses, and the
+    (sources, targets) of the rest of the checked graph.
+
+    The local faults (escape edges, missing strategies, strategies that
+    are not a region-internal edge) come by vertex and then by stored edge
+    order.  A strategy self-loop is a cyclic component on its own, since it
+    is its vertex's only checked edge, so it is checked here and left out
+    of the graph; the witnesses of the losing ones follow the faults, by
+    vertex.  The graph holds the opponent's region-internal edges and the
+    claimant's other strategy edges that stay in the region; its edges keep
+    the CSR order, so its sources ascend.
+    """
+    n = game.n
+    indptr, targets, edge_owner = game._csr
+    deg = np.diff(indptr)
+    src = np.repeat(np.arange(n, dtype=np.int32), deg)
+    win_src = np.repeat(win, deg)
+    inside = win[targets] == win_src
+    claimed = edge_owner == win_src  # the source's owner claims it
+    moves = targets == np.repeat(_choices(sol.strategy, n), deg)
+    moves &= claimed
+    moves &= inside
+    loops = moves & (targets == src)
+    keep = (inside & ~claimed) | (moves & ~loops)
+    escapes = np.flatnonzero(~(claimed | inside))
+    stays = np.zeros(n, dtype=bool)
+    stays[src[moves]] = True
+    faulty = np.flatnonzero((game._owner_bits == win) & ~stays)
+    found: list[list[Violation]] = [[], []]
+    # sorted by CSR position: a faulty vertex's first edge, or the escape edge
+    keys = np.concatenate((indptr[faulty], escapes))
+    for i in np.argsort(keys).tolist():
+        if i < len(faulty):
+            v = int(faulty[i])
+            s = sol.strategy[v]
+            fault: Violation = MissingStrategy(v) if s is None else StrategyLeavesRegion(v, s)
+        else:
+            e = int(escapes[i - len(faulty)])
+            v = int(src[e])
+            fault = EscapeEdge(v, int(targets[e]))
+        found[int(win[v])].append(fault)
+    priority = game.priority
+    looped = np.zeros(n, dtype=bool)
+    looped[src[loops]] = True  # once per vertex, though a duplicate edge repeats a loop
+    for v in np.flatnonzero(looped).tolist():
+        player = int(win[v])
+        if priority[v] & 1 != player:
+            found[player].append(LosingCycleWitness((v,), priority[v]))
+    return found, src[keep], targets[keep]
+
+
+def _trim(n: int, sources: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """The vertices left after dropping, round by round, every vertex with
+    no remaining in-edge or out-edge; ``sources`` must ascend.
+
+    Each round visits only the edges of the vertices it drops and counts
+    their endpoints' losses down with ``np.bincount``.
+    """
+    outdeg = np.bincount(sources, minlength=n).astype(np.int32)
+    indeg = np.bincount(targets, minlength=n).astype(np.int32)
+    out_ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(outdeg, out=out_ptr[1:])
+    in_ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(indeg, out=in_ptr[1:])
+    # the sources grouped by target; np.sort, unlike np.argsort and np.unique
+    # here, runs code that the reader's duplicate check has already paged in
+    keys = targets.astype(np.int64) * n + sources
+    keys.sort()
+    preds = (keys % n).astype(np.int32)
+    del keys
+    alive = np.ones(n, dtype=bool)
+    slot = np.empty(n, dtype=np.intp)
+    dropped = np.flatnonzero((outdeg == 0) | (indeg == 0))
+    while len(dropped):
+        alive[dropped] = False
+        succ = targets[_positions(out_ptr, dropped)[0]]
+        pred = preds[_positions(in_ptr, dropped)[0]]
+        indeg -= np.bincount(succ, minlength=n)
+        outdeg -= np.bincount(pred, minlength=n)
+        touched = np.concatenate((succ, pred))
+        touched = touched[alive[touched]]
+        touched = touched[(indeg[touched] == 0) | (outdeg[touched] == 0)]
+        # one copy of each vertex: the one whose position its slot kept
+        at = np.arange(len(touched))
+        slot[touched] = at
+        dropped = touched[slot[touched] == at]
+    return np.flatnonzero(alive)
+
+
+def _survivor_graph(
+    n: int, sources: np.ndarray, targets: np.ndarray
+) -> tuple[np.ndarray, list[list[int]]]:
+    """The trimmed checked graph: its vertices, ascending, and their
+    successor lists in stored order, both over indices into that vertex list."""
+    kept = _trim(n, sources, targets)
+    alive = np.zeros(n, dtype=bool)
+    alive[kept] = True
+    edges = alive[sources] & alive[targets]
+    index = np.zeros(n, dtype=np.int32)
+    index[kept] = np.arange(len(kept), dtype=np.int32)
+    cut = np.zeros(len(kept) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(index[sources[edges]], minlength=len(kept)), out=cut[1:])
+    flat = index[targets[edges]].tolist()
+    bounds = cut.tolist()
+    return kept, [flat[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
 def verify(game: ParityGame, sol: Solution) -> VerificationReport:
     """Check a claimed solution; all problems come back as report entries.
 
     A game with a sink or a dangling edge raises the ``ValidationError``
-    every solver raises on it.
+    every solver raises on it.  Faults come by player, Even first: the
+    local faults by vertex and then by stored edge order, then the losing
+    cycles.
     """
     if sol.n != game.n:
         raise ValueError("solution does not match the game")
     game._csr  # raises on a sink or a dangling edge, as every solver does
+    if not game.n:
+        return VerificationReport(True, ())
+    win = np.frombuffer(bytes(sol.winner), dtype=np.uint8)
+    found, sources, targets = _local_checks(game, sol, win)
+    kept, adj = _survivor_graph(game.n, sources, targets)
+    del sources, targets
+    vertices = kept.tolist()
+    priority = list(map(game.priority.__getitem__, vertices))
+    side = win[kept]
+    k = len(vertices)
+    index = [-1] * k
+    lowlink = [0] * k
+    on_stack = bytearray(k)
     violations: list[Violation] = []
-    index = [-1] * game.n
-    lowlink = [0] * game.n
-    on_stack = bytearray(game.n)
     for player in (Player.EVEN, Player.ODD):
-        members = [v for v in range(game.n) if sol.winner[v] is player]
-        region = set(members)
-        adj: dict[int, list[int]] = {}
-        for v in members:
-            if game.owner[v] is player:
-                s = sol.strategy[v]
-                if s is None:
-                    violations.append(MissingStrategy(v))
-                    adj[v] = []
-                elif s not in game.successors[v] or s not in region:
-                    violations.append(StrategyLeavesRegion(v, s))
-                    adj[v] = []
-                else:
-                    adj[v] = [s]
-            else:
-                kept: list[int] = []
-                for u in game.successors[v]:
-                    if u in region:
-                        kept.append(u)
-                    else:
-                        violations.append(EscapeEdge(v, u))
-                adj[v] = kept
-        work: list[list[int]] = [members]
+        violations.extend(found[player])
+        work: list[list[int]] = [np.flatnonzero(side == player).tolist()]
         while work:
             subset = work.pop()
             if not subset:
                 continue
             for comp in _cyclic_components(subset, adj, index, lowlink, on_stack):
-                pmax = max(game.priority[v] for v in comp)
+                pmax = max(priority[c] for c in comp)
                 if pmax & 1 != int(player):
-                    anchor = min(v for v in comp if game.priority[v] == pmax)
-                    violations.append(LosingCycleWitness(_witness_cycle(comp, adj, anchor), pmax))
-                rest = [v for v in comp if game.priority[v] != pmax]
+                    anchor = min(c for c in comp if priority[c] == pmax)
+                    cycle = _witness_cycle(comp, adj, anchor)
+                    violations.append(LosingCycleWitness(tuple(vertices[c] for c in cycle), pmax))
+                rest = [c for c in comp if priority[c] != pmax]
                 if rest:
                     work.append(rest)
     return VerificationReport(not violations, tuple(violations))

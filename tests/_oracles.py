@@ -6,15 +6,29 @@ plain BFS.  The DFI references import nothing from ``parityfix.solver``:
 ``freezing_loop`` (reported by ``reference_freezing``) and ``basic_loop``
 (reported by ``reference_basic``) are plain per-pass loops over every
 vertex of a level, the freezing one with event callbacks for the tests
-that check the freeze discipline.
+that check the freeze discipline.  ``reference_verify`` is the
+per-vertex solution verifier that walks the successor and winner tuples
+and runs Tarjan over every claimed vertex.
 """
 
 from __future__ import annotations
 
 from array import array
+from collections import deque
 from dataclasses import dataclass
 
 import parityfix as pf
+from parityfix import (
+    EscapeEdge,
+    LosingCycleWitness,
+    MissingStrategy,
+    ParityGame,
+    Player,
+    Solution,
+    StrategyLeavesRegion,
+    VerificationReport,
+)
+from parityfix.verifier import Violation
 
 
 def naive_attract(game: pf.ParityGame, alive, player: pf.Player, seed) -> frozenset[int]:
@@ -285,3 +299,148 @@ def reference_basic(game: pf.ParityGame) -> LoopOutcome:
     winner = tuple(pf.Player(par[fwd[v]] ^ z[fwd[v]]) for v in range(game.n))
     distractions = frozenset(bwd[s] for s in range(game.n) if z[s])
     return LoopOutcome(pf.Solution(winner, (None,) * game.n), stats, distractions)
+
+
+def _cyclic_components(
+    subset: list[int],
+    adj: dict[int, list[int]],
+    index: list[int],
+    lowlink: list[int],
+    on_stack: bytearray,
+) -> list[list[int]]:
+    """Tarjan over ``subset`` with edges filtered to it; the components with a cycle.
+
+    ``index``, ``lowlink`` and ``on_stack`` hold per-vertex state for all
+    calls of one ``verify``.  Every vertex that ``adj`` reaches from
+    ``subset`` without being in it was indexed by an earlier call and is
+    off the stack, so its edges are skipped as leaving the subset.
+    """
+    for v in subset:
+        index[v] = -1
+    stack: list[int] = []
+    counter = 0
+    out: list[list[int]] = []
+    for root in subset:
+        if index[root] >= 0:
+            continue
+        index[root] = lowlink[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack[root] = 1
+        work = [(root, iter(adj[root]))]
+        while work:
+            v, edges = work[-1]
+            for u in edges:
+                if index[u] < 0:
+                    index[u] = lowlink[u] = counter
+                    counter += 1
+                    stack.append(u)
+                    on_stack[u] = 1
+                    work.append((u, iter(adj[u])))
+                    break
+                if on_stack[u] and index[u] < lowlink[v]:
+                    lowlink[v] = index[u]
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    if lowlink[v] < lowlink[parent]:
+                        lowlink[parent] = lowlink[v]
+                if lowlink[v] == index[v]:
+                    w = stack.pop()
+                    on_stack[w] = 0
+                    comp = [w]
+                    while w != v:
+                        w = stack.pop()
+                        on_stack[w] = 0
+                        comp.append(w)
+                    if len(comp) > 1 or v in adj[v]:
+                        out.append(comp)
+    return out
+
+
+def _witness_cycle(comp: list[int], adj: dict[int, list[int]], anchor: int) -> tuple[int, ...]:
+    """A cycle through ``anchor`` inside its strongly connected component.
+
+    Witnesses are for debugging; no minimality is attempted beyond a BFS.
+    """
+    inside = set(comp)
+    if anchor in adj[anchor]:
+        return (anchor,)
+    parent: dict[int, int] = {}
+    queue: deque[int] = deque()
+    found = False
+    for s in adj[anchor]:
+        if s in inside and s not in parent:
+            parent[s] = anchor
+            queue.append(s)
+    while queue and not found:
+        x = queue.popleft()
+        for y in adj[x]:
+            if y in inside and y not in parent:
+                parent[y] = x
+                if y == anchor:
+                    found = True
+                    break
+                queue.append(y)
+    if not found:  # strong connectivity makes this unreachable
+        return (anchor,)
+    nodes: list[int] = []
+    cur = parent[anchor]
+    while cur != anchor:
+        nodes.append(cur)
+        cur = parent[cur]
+    nodes.reverse()
+    return (anchor, *nodes)
+
+
+def reference_verify(game: ParityGame, sol: Solution) -> VerificationReport:
+    """Check a claimed solution; all problems come back as report entries.
+
+    A game with a sink or a dangling edge raises the ``ValidationError``
+    every solver raises on it.
+    """
+    if sol.n != game.n:
+        raise ValueError("solution does not match the game")
+    game._csr  # raises on a sink or a dangling edge, as every solver does
+    violations: list[Violation] = []
+    index = [-1] * game.n
+    lowlink = [0] * game.n
+    on_stack = bytearray(game.n)
+    for player in (Player.EVEN, Player.ODD):
+        members = [v for v in range(game.n) if sol.winner[v] is player]
+        region = set(members)
+        adj: dict[int, list[int]] = {}
+        for v in members:
+            if game.owner[v] is player:
+                s = sol.strategy[v]
+                if s is None:
+                    violations.append(MissingStrategy(v))
+                    adj[v] = []
+                elif s not in game.successors[v] or s not in region:
+                    violations.append(StrategyLeavesRegion(v, s))
+                    adj[v] = []
+                else:
+                    adj[v] = [s]
+            else:
+                kept: list[int] = []
+                for u in game.successors[v]:
+                    if u in region:
+                        kept.append(u)
+                    else:
+                        violations.append(EscapeEdge(v, u))
+                adj[v] = kept
+        work: list[list[int]] = [members]
+        while work:
+            subset = work.pop()
+            if not subset:
+                continue
+            for comp in _cyclic_components(subset, adj, index, lowlink, on_stack):
+                pmax = max(game.priority[v] for v in comp)
+                if pmax & 1 != int(player):
+                    anchor = min(v for v in comp if game.priority[v] == pmax)
+                    violations.append(LosingCycleWitness(_witness_cycle(comp, adj, anchor), pmax))
+                rest = [v for v in comp if game.priority[v] != pmax]
+                if rest:
+                    work.append(rest)
+    return VerificationReport(not violations, tuple(violations))

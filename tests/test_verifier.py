@@ -1,9 +1,13 @@
+import ast
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import parityfix as pf
-from parityfix import LosingCycleWitness, Player
+from parityfix import LosingCycleWitness, Player, verifier
 
+from _oracles import reference_verify
 from conftest import seeded_game
 
 
@@ -138,3 +142,117 @@ def test_region_completeness_against_oracle(seed):
     if game.n:
         flipped = mutate_winner(truth, 0)
         assert not pf.verify(game, flipped).ok
+
+
+def corruptions(game: pf.ParityGame, sol: pf.Solution, rng: pf.SplitMix64):
+    """Named single corruptions of a correct solution; each is skipped when
+    the game has no vertex it applies to."""
+    n = game.n
+    winner, strategy = list(sol.winner), list(sol.strategy)
+    flipped = list(winner)
+    for _ in range(1 + rng.below(3)):
+        v = rng.below(n)
+        flipped[v] = flipped[v].opponent
+    yield "flipped winners", pf.Solution(tuple(flipped), sol.strategy)
+    moved = [v for v in range(n) if strategy[v] is not None]
+    if moved:
+        # a redirection that stays in the region can only be caught by a cycle
+        redirected = list(strategy)
+        for v in moved:
+            others = [u for u in game.successors[v] if u != strategy[v] and winner[u] is winner[v]]
+            if others:
+                redirected[v] = others[rng.below(len(others))]
+        yield "other successors in the region", pf.Solution(sol.winner, tuple(redirected))
+        v = moved[rng.below(len(moved))]
+        others = [u for u in game.successors[v] if u != strategy[v]]
+        if others:
+            redirected = list(strategy)
+            redirected[v] = others[rng.below(len(others))]
+            yield "other successor", pf.Solution(sol.winner, tuple(redirected))
+        outside = [u for u in range(n) if u not in game.successors[v]]
+        if outside:
+            redirected = list(strategy)
+            redirected[v] = outside[rng.below(len(outside))]
+            yield "non-successor", pf.Solution(sol.winner, tuple(redirected))
+        dropped = list(strategy)
+        dropped[v] = None
+        yield "dropped strategy", pf.Solution(sol.winner, tuple(dropped))
+    unowned = [v for v in range(n) if game.owner[v] is not winner[v]]
+    if unowned:
+        v = unowned[rng.below(len(unowned))]
+        extra = list(strategy)
+        extra[v] = game.successors[v][rng.below(len(game.successors[v]))]
+        yield "strategy of a losing owner", pf.Solution(sol.winner, tuple(extra))
+
+
+def assert_witness_is_losing_cycle(game: pf.ParityGame, sol: pf.Solution, w: LosingCycleWitness):
+    """``w.cycle`` is a cycle of the graph the verifier checks for the claimant
+    of its vertices, and its maximum priority is the opponent's."""
+    player = sol.winner[w.cycle[0]]
+    for a, b in zip(w.cycle, w.cycle[1:] + w.cycle[:1]):
+        assert sol.winner[a] is player and sol.winner[b] is player
+        assert b in game.successors[a]
+        if game.owner[a] is player:
+            assert sol.strategy[a] == b
+    assert max(game.priority[v] for v in w.cycle) == w.max_priority
+    assert w.max_priority & 1 != int(player)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**9), st.sampled_from([0.0, 0.1]))
+def test_matches_reference_verifier(seed, self_loop):
+    game = seeded_game(seed, max_n=3000, self_loop=self_loop)
+    sol = pf.solve(game)
+    cases = [("correct", sol), *corruptions(game, sol, pf.SplitMix64(seed ^ 0xC0FFEE))]
+    for name, claim in cases:
+        report, expected = pf.verify(game, claim), reference_verify(game, claim)
+        assert report.ok == expected.ok, name
+        local = [v for v in report.violations if not isinstance(v, LosingCycleWitness)]
+        assert local == [v for v in expected.violations if not isinstance(v, LosingCycleWitness)], name
+        witnesses = [v for v in report.violations if isinstance(v, LosingCycleWitness)]
+        for w in witnesses:
+            assert_witness_is_losing_cycle(game, claim, w)
+        # trimming drops no vertex of a cycle, so peeling meets the same components
+        assert sorted(witnesses, key=repr) == sorted(
+            (v for v in expected.violations if isinstance(v, LosingCycleWitness)), key=repr
+        ), name
+
+
+@pytest.mark.parametrize("target", ["n", -1, 2**70])
+def test_out_of_range_strategy_target_leaves_region(target):
+    # Even owns and claims every vertex, and wins with vertex 1 moving to 0
+    # or 2, which a target wrapped or clipped into range would name
+    game = pf.ParityGame([0, 2, 0], [0, 0, 0], [[1], [0, 2], [1]])
+    value = game.n if target == "n" else target
+    claim = pf.Solution((Player.EVEN,) * 3, (1, value, 1))
+    report = pf.verify(game, claim)
+    assert report.violations == (pf.StrategyLeavesRegion(1, value),)
+    assert report == reference_verify(game, claim)
+
+
+def test_duplicate_edges_match_reference():
+    # Even claims both; 0 keeps its odd self-loop (stored twice), 1 moves
+    # along one of its two equal edges
+    game = pf.ParityGame([1, 2], [0, 0], [[0, 0], [1, 1, 0]])
+    claim = pf.Solution((Player.EVEN, Player.EVEN), (0, 1))
+    report = pf.verify(game, claim)
+    assert report.violations == (LosingCycleWitness((0,), 1),)
+    assert report == reference_verify(game, claim)
+
+
+def test_verifier_imports_only_the_game_module():
+    # the verifier checks the production path, so it may not share its code
+    tree = ast.parse(Path(verifier.__file__).read_text())
+    package: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level:
+                package.update([node.module] if node.module else [a.name for a in node.names])
+            elif node.module and node.module.split(".")[0] == "parityfix":
+                package.add(node.module.partition(".")[2])
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "parityfix":
+                    package.add(alias.name.partition(".")[2])
+    assert not package & {"solver", "preprocess", "fixpoint", "zielonka", "graphs"}
+    assert package <= {"game"}
