@@ -35,30 +35,26 @@ from .game import (
     SolveTimeoutError,
     SortPermutation,
     ValidationError,
-    apply_backward,
     game_stats,
     sort_by_priority,
     validate,
 )
 from .generator import GenParams, InvalidParamsError, SplitMix64, random_game
-from .graphs import Component, Restriction, attract, sccs
+from .graphs import Component, attract, sccs
 from .preprocess import (
     PartialSolution,
     apply_preprocessing,
     compose_solution,
     eliminate_self_loops,
-    lift,
     winner_controlled_cycles,
 )
 from .solver import (
     DfiOutcome,
     SolverOptions,
     SolverStats,
-    onestep,
     solve,
     solve_basic,
     solve_detailed,
-    winner_of,
 )
 from .verifier import (
     EscapeEdge,
@@ -84,7 +80,6 @@ __all__ = [
     "DuplicateEdgeError",
     "validate",
     "sort_by_priority",
-    "apply_backward",
     "game_stats",
     "ParseError",
     "DuplicateVertexIdError",
@@ -96,12 +91,9 @@ __all__ = [
     "SolverStats",
     "DfiOutcome",
     "SolveTimeoutError",
-    "winner_of",
-    "onestep",
     "solve",
     "solve_basic",
     "solve_detailed",
-    "Restriction",
     "Component",
     "attract",
     "sccs",
@@ -119,7 +111,6 @@ __all__ = [
     "eliminate_self_loops",
     "winner_controlled_cycles",
     "apply_preprocessing",
-    "lift",
     "compose_solution",
     "VerificationReport",
     "EscapeEdge",

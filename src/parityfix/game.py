@@ -104,7 +104,11 @@ class ParityGame:
     ``priority``, ``owner``, ``successors``, ``original_id`` and ``label``
     are parallel tuples indexed by vertex.  Successor lists keep their
     construction order; solvers use that order for deterministic
-    tie-breaking.
+    tie-breaking.  A game built by the constructor holds the successor
+    tuples it was given and derives its CSR arrays (``_csr``) from them.
+    The games that the reader, the sort and the preprocessing build come
+    from CSR arrays, and their ``successors`` are a view of those arrays,
+    built on first read.
     """
 
     def __init__(
@@ -146,30 +150,34 @@ class ParityGame:
         targets: np.ndarray,
         original_id: Sequence[int],
         label: Sequence[str | None],
-        vertices: Sequence[int] | None = None,
     ) -> "ParityGame":
         """The game of CSR arrays that ``_csr`` would accept: every row has a
-        successor and every target is in range.
+        successor and every target is in range.  Duplicate edges are kept.
 
-        ``owner`` holds bits (uint8), ``indptr`` int64 and ``targets`` int32
-        values; they become the ``_owner_bits`` and ``_csr`` caches.  The
-        successor lists hold one fresh int object per edge, which is fastest
-        to build, or, when ``vertices`` (with ``vertices[v] == v``) is given,
-        that sequence's objects, which costs one object per vertex.
+        ``priority`` holds int64 values (Python ints in an object array
+        beyond that), ``owner`` bits (uint8), ``indptr`` int64 and
+        ``targets`` int32 values; they become the ``_parity_bits``,
+        ``_owner_bits`` and ``_csr`` caches.  No successor tuple is built
+        until ``successors`` is read.
         """
         game = cls.__new__(cls)
         game.priority = tuple(priority.tolist())
         game.owner = tuple(map(_PLAYER.__getitem__, owner.tolist()))
-        flat = targets.tolist()
-        if vertices is not None:
-            flat = list(map(vertices.__getitem__, flat))
-        bounds = indptr.tolist()
-        game.successors = tuple(tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:]))
         game.original_id = tuple(original_id)
         game.label = tuple(label)
+        game._parity_bits = (priority & 1).astype(np.uint8)
         game._owner_bits = owner
         game._csr = indptr, targets, np.repeat(owner, np.diff(indptr))
         return game
+
+    @cached_property
+    def successors(self) -> tuple[tuple[int, ...], ...]:
+        """Successor lists in stored order; an array-built game reads them
+        off its CSR on first use."""
+        indptr, targets, _ = self._csr
+        flat = targets.tolist()
+        bounds = indptr.tolist()
+        return tuple(tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:]))
 
     @property
     def n(self) -> int:
@@ -185,7 +193,9 @@ class ParityGame:
 
     @cached_property
     def edge_count(self) -> int:
-        return sum(len(s) for s in self.successors)
+        if "successors" in vars(self):
+            return sum(map(len, self.successors))
+        return len(self._csr[1])
 
     def has_self_loop(self, v: int) -> bool:
         return v in self.successors[v]
@@ -207,16 +217,6 @@ class ParityGame:
     def is_priority_sorted(self) -> bool:
         pr = self.priority
         return all(pr[i] <= pr[i + 1] for i in range(len(pr) - 1))
-
-    # Plain-int mirrors of owner/priority parity; the solvers' per-vertex
-    # Python loops index these instead of enum tuples.
-    @cached_property
-    def _owner_ints(self) -> tuple[int, ...]:
-        return tuple(int(o) for o in self.owner)
-
-    @cached_property
-    def _parity_ints(self) -> tuple[int, ...]:
-        return tuple(p & 1 for p in self.priority)
 
     @cached_property
     def _csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -267,11 +267,11 @@ class ParityGame:
 
     @cached_property
     def _parity_bits(self) -> np.ndarray:
-        return np.fromiter(self._parity_ints, dtype=np.uint8, count=self.n)
+        return np.fromiter((p & 1 for p in self.priority), dtype=np.uint8, count=self.n)
 
     @cached_property
     def _owner_bits(self) -> np.ndarray:
-        return np.fromiter(self._owner_ints, dtype=np.uint8, count=self.n)
+        return np.fromiter(map(int, self.owner), dtype=np.uint8, count=self.n)
 
     @cached_property
     def levels(self) -> tuple[tuple[int, int, int], ...]:
@@ -351,6 +351,12 @@ def validate(game: ParityGame) -> None:
             seen.add(u)
 
 
+def _priority_array(priority: Sequence[int]) -> np.ndarray:
+    """``priority`` as int64 values, or as Python ints in an object array
+    when one of them needs 64 bits or more."""
+    return np.array(priority, dtype=np.int64 if max(priority, default=0) < 2**63 else object)
+
+
 def sort_by_priority(game: ParityGame) -> tuple[ParityGame, SortPermutation]:
     """Reorder vertices so priorities are nondecreasing (stable).
 
@@ -362,13 +368,12 @@ def sort_by_priority(game: ParityGame) -> tuple[ParityGame, SortPermutation]:
     if game.is_priority_sorted:
         return game, SortPermutation.identity(n)
     indptr, targets, _ = game._csr  # raises on a sink or a dangling edge
-    priority = np.array(game.priority, dtype=np.int64 if game.max_priority < 2**63 else object)
+    priority = _priority_array(game.priority)
     backward = np.argsort(priority, kind="stable")
     forward = np.empty(n, dtype=np.int32)
     forward[backward] = np.arange(n, dtype=np.int32)
     pos, sorted_indptr = _positions(indptr, backward)
     order = backward.tolist()
-    forward_ids = tuple(forward.tolist())
     sorted_game = ParityGame._from_csr(
         priority[backward],
         game._owner_bits[backward],
@@ -376,27 +381,8 @@ def sort_by_priority(game: ParityGame) -> tuple[ParityGame, SortPermutation]:
         forward[targets[pos]],
         list(map(game.original_id.__getitem__, order)),
         list(map(game.label.__getitem__, order)),
-        # the successor lists share the permutation's int objects, one per vertex
-        list(map(forward_ids.__getitem__, order)),
     )
-    return sorted_game, SortPermutation(forward_ids, tuple(order))
-
-
-def apply_backward(sorted_game: ParityGame, perm: SortPermutation) -> ParityGame:
-    """Undo sort_by_priority, reproducing the original vertex order."""
-    if perm.is_identity:
-        return sorted_game
-    fwd = perm.forward
-    return ParityGame(
-        priority=[sorted_game.priority[fwd[v]] for v in range(sorted_game.n)],
-        owner=[sorted_game.owner[fwd[v]] for v in range(sorted_game.n)],
-        successors=[
-            [perm.backward[u] for u in sorted_game.successors[fwd[v]]]
-            for v in range(sorted_game.n)
-        ],
-        original_id=[sorted_game.original_id[fwd[v]] for v in range(sorted_game.n)],
-        label=[sorted_game.label[fwd[v]] for v in range(sorted_game.n)],
-    )
+    return sorted_game, SortPermutation(tuple(forward.tolist()), tuple(order))
 
 
 def game_stats(game: ParityGame) -> GameStats:

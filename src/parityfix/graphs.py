@@ -1,9 +1,13 @@
 """Attractor computation and SCC decomposition on restrictions of a game.
 
-A restriction is a per-vertex alive mask carving out a subgame.  Induced
-edges are simply the edges between alive vertices; note that a restriction
-need not be left-total, callers must not rely on every alive vertex keeping
-a successor.
+These per-vertex Python versions serve the oracles (Zielonka and the test
+references).  The solve path (reader, preprocessing, solver, verifier) has
+its own array code and does not import this module.
+
+A restriction is a per-vertex alive mask carving out a subgame (``None``
+for the whole game).  Induced edges are simply the edges between alive
+vertices; note that a restriction need not be left-total, callers must
+not rely on every alive vertex keeping a successor.
 """
 
 from __future__ import annotations
@@ -15,38 +19,13 @@ from typing import Iterable, Mapping, Sequence
 from .game import ParityGame, Player
 
 
-@dataclass(frozen=True)
-class Restriction:
-    """Per-vertex alive mask defining a subgame."""
-
-    alive: tuple[bool, ...]
-
-    @classmethod
-    def full(cls, n: int) -> "Restriction":
-        return cls((True,) * n)
-
-    @classmethod
-    def of(cls, n: int, vertices: Iterable[int]) -> "Restriction":
-        mask = [False] * n
-        for v in vertices:
-            mask[v] = True
-        return cls(tuple(mask))
-
-    def vertices(self) -> list[int]:
-        return [v for v, a in enumerate(self.alive) if a]
-
-
-def _alive_mask(game: ParityGame, restriction: Restriction | Sequence[bool] | None) -> Sequence[bool]:
-    if restriction is None:
-        return [True] * game.n
-    if isinstance(restriction, Restriction):
-        return restriction.alive
-    return restriction
+def _alive_mask(game: ParityGame, restriction: Sequence[bool] | None) -> Sequence[bool]:
+    return [True] * game.n if restriction is None else restriction
 
 
 def attract(
     game: ParityGame,
-    restriction: Restriction | Sequence[bool] | None,
+    restriction: Sequence[bool] | None,
     player: Player,
     seed: Iterable[int],
     prior_strategy: Mapping[int, int] | None = None,
@@ -61,7 +40,7 @@ def attract(
     per-vertex remaining-successor counters allocated per call.
     """
     alive = _alive_mask(game, restriction)
-    owner = game._owner_ints
+    owner = game.owner
     succ = game.successors
     preds = game.predecessors
     mine = int(player)
@@ -119,7 +98,7 @@ class Component:
     cyclic: bool
 
 
-def sccs(game: ParityGame, restriction: Restriction | Sequence[bool] | None = None) -> list[Component]:
+def sccs(game: ParityGame, restriction: Sequence[bool] | None = None) -> list[Component]:
     """Tarjan's algorithm over the alive subgraph, iterative.
 
     Components come out in reverse topological order of the condensation

@@ -18,7 +18,16 @@ its vertex's live out-degree, so a hostile loop that the attractor leaves
 stuck joins the attractor like any other cornered opponent vertex.  The
 two attractors are winning regions of different players, so they are
 disjoint, and the decided set is the one that deciding loop
-after loop would give.  The oracles keep their own ``graphs.attract``.
+after loop would give.
+
+The cycle pass needs no SCC decomposition.  In the subgraph of a player's
+own vertices of their own parity, the vertices that cannot stay forever
+are the ones from which every path reaches a vertex with no successor
+inside; the same count-down attractor, run for the other player from
+those vertices, finds them.  The rest, and their attractor, are won.
+Derived games are built from CSR arrays (``ParityGame._from_csr``) and
+keep any duplicate edge of their parent.  Nothing here shares code with
+the oracles' per-vertex attractor and SCC search.
 """
 
 from __future__ import annotations
@@ -28,8 +37,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .game import _PLAYER, ParityGame, Player, Solution, _positions, validate
-from .graphs import Restriction, sccs
+from .game import _PLAYER, ParityGame, Solution, _positions, _priority_array
 
 
 @dataclass(frozen=True, eq=False)
@@ -39,8 +47,8 @@ class PartialSolution:
     ``win`` holds each parent vertex's winner bit, -1 while undecided;
     ``choice`` the chosen successor of a decided winner-owned vertex, -1
     elsewhere.  ``to_parent`` maps the residual game's dense indices back
-    to the parent's.  The arrays are read-only; ``decided``, ``winner``,
-    ``strategy`` and ``residual`` are views of them, built on first use.
+    to the parent's.  The arrays are read-only; ``decided`` is a view of
+    them, built on first use.
     """
 
     win: np.ndarray
@@ -54,21 +62,6 @@ class PartialSolution:
     @cached_property
     def decided(self) -> frozenset[int]:
         return frozenset(np.flatnonzero(self.win >= 0).tolist())
-
-    @cached_property
-    def winner(self) -> dict[int, Player]:
-        vs = np.flatnonzero(self.win >= 0)
-        return dict(zip(vs.tolist(), map(_PLAYER.__getitem__, self.win[vs].tolist())))
-
-    @cached_property
-    def strategy(self) -> dict[int, int]:
-        vs = np.flatnonzero(self.choice >= 0)
-        return dict(zip(vs.tolist(), self.choice[vs].tolist()))
-
-    @cached_property
-    def residual(self) -> Restriction:
-        """The undecided vertices, as an alive mask."""
-        return Restriction(tuple((self.win < 0).tolist()))
 
 
 def _distinct(vs: np.ndarray) -> np.ndarray:
@@ -151,21 +144,19 @@ def _extract(
         dropped = np.zeros(game.n, dtype=bool)
         dropped[drop_loops] = True
         keep &= ~((tg == to_parent[row]) & dropped[tg])
-    child_index = np.full(game.n, -1, dtype=np.int64)
-    child_index[to_parent] = np.arange(len(to_parent))
+    child_index = np.full(game.n, -1, dtype=np.int32)
+    child_index[to_parent] = np.arange(len(to_parent), dtype=np.int32)
     cut = np.zeros(len(to_parent) + 1, dtype=np.int64)
     np.cumsum(np.bincount(row[keep], minlength=len(to_parent)), out=cut[1:])
-    flat = child_index[tg[keep]].tolist()
-    cut_list = cut.tolist()
     vs = to_parent.tolist()
-    child = ParityGame(
-        priority=[game.priority[v] for v in vs],
-        owner=[game.owner[v] for v in vs],
-        successors=[flat[a:b] for a, b in zip(cut_list, cut_list[1:])],
-        original_id=[game.original_id[v] for v in vs],
-        label=[game.label[v] for v in vs],
+    child = ParityGame._from_csr(
+        _priority_array(list(map(game.priority.__getitem__, vs))),
+        game._owner_bits[to_parent],
+        cut,
+        child_index[tg[keep]],
+        list(map(game.original_id.__getitem__, vs)),
+        list(map(game.label.__getitem__, vs)),
     )
-    validate(child)
     return child, to_parent
 
 
@@ -193,17 +184,19 @@ def eliminate_self_loops(game: ParityGame) -> tuple[PartialSolution, ParityGame]
     takes every other successor, the owner is stuck and the vertex joins
     that player's attractor at once.  The owner's attractor never counts a
     hostile loop's vertex down (it joins on any edge into the region), so
-    one attractor per player leaves no hostile loop stuck.
+    one attractor per player leaves no hostile loop stuck.  A loop stored twice
+    counts as one loop, and every copy of a hostile loop leaves the degree.
     """
     indptr, targets, _ = game._csr
     sources = np.repeat(np.arange(game.n), np.diff(indptr))
-    loopers = sources[targets == sources]
+    loops = sources[targets == sources]  # a doubled loop comes twice
     par = game._parity_bits
-    friendly = par[loopers] == game._owner_bits[loopers]
     alive, degree, win, choice = _undecided(game)
+    np.subtract.at(degree, loops[par[loops] != game._owner_bits[loops]], 1)
+    loopers = _distinct(loops)
+    friendly = par[loopers] == game._owner_bits[loopers]
     choice[loopers[friendly]] = loopers[friendly]
     hostile = loopers[~friendly]
-    degree[hostile] -= 1
     seeds = np.concatenate((loopers[friendly], hostile[degree[hostile] == 0]))
     for beta in (0, 1):
         mine = seeds[par[seeds] == beta]
@@ -214,14 +207,35 @@ def eliminate_self_loops(game: ParityGame) -> tuple[PartialSolution, ParityGame]
     return PartialSolution(win, choice, to_parent), residual
 
 
+def _staying(game: ParityGame, mask: np.ndarray, player: int) -> np.ndarray:
+    """The vertices of ``mask``, all owned by ``player``, that have an
+    infinite path inside ``mask``.
+
+    The others are the opponent's attractor, within ``mask``, of the
+    vertices without a successor in ``mask``.  The opponent owns none of
+    them, so a vertex joins once all its successors in ``mask`` have.
+    """
+    indptr, targets, _ = game._csr
+    rows = np.flatnonzero(mask)
+    pos, bounds = _positions(indptr, rows)
+    degree = np.zeros(game.n, dtype=np.int64)
+    degree[rows] = np.add.reduceat(mask[targets[pos]], bounds[:-1], dtype=np.int64)
+    stay = mask.copy()
+    # the opponent owns no vertex of ``mask``, so it makes no choice
+    _attract(game, stay, degree, 1 - player, rows[degree[rows] == 0], np.empty(0, dtype=np.int64))
+    return np.flatnonzero(stay)
+
+
 def winner_controlled_cycles(game: ParityGame) -> tuple[PartialSolution, ParityGame]:
     """Decide cycles a player fully controls and likes.
 
     For each player, take the subgraph of vertices they own whose priority
-    parity is also theirs; every cyclic SCC there is won outright (all
-    priorities on any internal play have the winning parity), so decide
-    those SCCs with an in-component strategy plus their attractor.  This is
-    deliberately conservative detection; intended for self-loop-free input.
+    parity is also theirs.  From every vertex with an infinite path inside
+    it the player wins outright (all priorities on such a play have the
+    winning parity), so those vertices are decided, each with its first
+    successor in stored order that keeps such a path, plus their
+    attractor.  This is deliberately conservative detection; intended for
+    self-loop-free input.
     """
     alive, degree, win, choice = _undecided(game)
     own_parity = game._owner_bits == game._parity_bits
@@ -229,43 +243,22 @@ def winner_controlled_cycles(game: ParityGame) -> tuple[PartialSolution, ParityG
         mask = alive & own_parity & (game._owner_bits == beta)
         if not mask.any():
             continue
-        seeds: dict[int, int] = {}
-        for comp in sccs(game, mask.tolist()):
-            if not comp.cyclic:
-                continue
-            inside = set(comp.vertices)
-            for v in comp.vertices:
-                for u in game.successors[v]:
-                    if u in inside:
-                        seeds[v] = u
-                        break
-        if not seeds:
+        seeds = _staying(game, mask, beta)
+        if not len(seeds):
             continue
-        vs = np.array(sorted(seeds), dtype=np.int64)
-        choice[vs] = [seeds[v] for v in vs.tolist()]
-        win[_attract(game, alive, degree, beta, vs, choice)] = beta
+        inside = np.zeros(game.n, dtype=bool)
+        inside[seeds] = True
+        choice[seeds] = _first_inside(game, inside, seeds)
+        win[_attract(game, alive, degree, beta, seeds, choice)] = beta
     residual, to_parent = _extract(game, alive)
     return PartialSolution(win, choice, to_parent), residual
 
 
-def apply_preprocessing(
-    game: ParityGame, *, self_loops: bool = True, cycles: bool = True
-) -> tuple[list[PartialSolution], ParityGame]:
-    """Run the reductions in order; returns the partials plus the residual."""
-    partials: list[PartialSolution] = []
-    current = game
-    if self_loops:
-        partial, current = eliminate_self_loops(current)
-        partials.append(partial)
-    if cycles:
-        partial, current = winner_controlled_cycles(current)
-        partials.append(partial)
-    return partials, current
-
-
-def lift(partial: PartialSolution, child: Solution) -> Solution:
-    """Merge a residual solution into the parent game's vertex space."""
-    return compose_solution([partial], child)
+def apply_preprocessing(game: ParityGame) -> tuple[list[PartialSolution], ParityGame]:
+    """Run both reductions in order; returns the partials plus the residual."""
+    loop_partial, loopless = eliminate_self_loops(game)
+    cycle_partial, residual = winner_controlled_cycles(loopless)
+    return [loop_partial, cycle_partial], residual
 
 
 def compose_solution(partials: list[PartialSolution], residual_solution: Solution) -> Solution:

@@ -68,8 +68,8 @@ from typing import Literal
 import numpy as np
 
 from .game import (
+    _PLAYER,
     ParityGame,
-    Player,
     Solution,
     SolveTimeoutError,
     SortPermutation,
@@ -121,25 +121,6 @@ class DfiOutcome:
     distractions: frozenset[int]
     sorted_game: ParityGame
     permutation: SortPermutation
-
-
-def winner_of(v: int, z, game: ParityGame) -> Player:
-    """Estimated winner of ``v`` under flag set ``z`` (any membership container)."""
-    par = game.priority[v] & 1
-    return Player(1 - par) if v in z else Player(par)
-
-
-def onestep(v: int, z, game: ParityGame) -> tuple[Player, int | None]:
-    """One-step evaluation of ``v``: can its owner move to an estimated win?
-
-    Returns the one-step winner and, when that is the owner, the first
-    winning successor in stored order; otherwise no successor.
-    """
-    ow = game.owner[v]
-    for u in game.successors[v]:
-        if winner_of(u, z, game) is ow:
-            return ow, u
-    return ow.opponent, None
 
 
 def _check_deadline(deadline: float | None) -> None:
@@ -290,7 +271,7 @@ def _dfi(game, deadline, stats, freeze):
     n = game.n
     succ = game.successors
     pred = game.predecessors
-    own = game._owner_ints
+    own = game._owner_bits.tobytes()
     parb = game._parity_bits
     owner_bits = game._owner_bits
     indptr, targets, edge_owner = game._csr
@@ -409,30 +390,20 @@ def solve_detailed(game: ParityGame, options: SolverOptions | None = None) -> Df
         raise
     stats.wall_time_s = time.perf_counter() - t0
 
-    par = sorted_game._parity_ints
-    own = sorted_game._owner_ints
-    n = sorted_game.n
-    winner_int = [par[v] ^ (1 if z[v] else 0) for v in range(n)]
+    # the results in sorted order, scattered into the input's order
+    backward = np.array(perm.backward, dtype=np.int64)
+    zbits = np.frombuffer(z, dtype=np.uint8)
+    won = sorted_game._parity_bits ^ zbits
+    win = np.empty(len(won), dtype=np.uint8)
+    win[backward] = won
+    choice = np.full(len(won), -1, dtype=np.int64)
     if freeze:
-        strategy_int: list[int | None] = [
-            (int(st[v]) if (own[v] == winner_int[v] and st[v] >= 0) else None) for v in range(n)
-        ]
-    else:
-        strategy_int = [None] * n
-
-    if perm.is_identity:
-        winner = tuple(Player(w) for w in winner_int)
-        strategy = tuple(strategy_int)
-        distractions = frozenset(v for v in range(n) if z[v])
-    else:
-        fwd = perm.forward
-        bwd = perm.backward
-        winner = tuple(Player(winner_int[fwd[v]]) for v in range(n))
-        strategy = tuple(
-            (bwd[strategy_int[fwd[v]]] if strategy_int[fwd[v]] is not None else None)
-            for v in range(n)
-        )
-        distractions = frozenset(bwd[v] for v in range(n) if z[v])
+        strat = np.frombuffer(st, dtype=np.int32)
+        chosen = np.flatnonzero((sorted_game._owner_bits == won) & (strat >= 0))
+        choice[backward[chosen]] = backward[strat[chosen]]
+    winner = tuple(map(_PLAYER.__getitem__, win.tolist()))
+    strategy = tuple(None if s < 0 else s for s in choice.tolist())
+    distractions = frozenset(backward[zbits != 0].tolist())
     return DfiOutcome(Solution(winner, strategy), stats, distractions, sorted_game, perm)
 
 

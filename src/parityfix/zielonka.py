@@ -29,7 +29,7 @@ def _decompose(game: ParityGame, alive: list[bool], count: int) -> Generator:
     if count == 0:
         return set(), set(), {}, {}
     pr = game.priority
-    own = game._owner_ints
+    own = game.owner
     succ = game.successors
     p = max(pr[v] for v in range(game.n) if alive[v])
     alpha = p & 1

@@ -9,6 +9,9 @@ vertex of a level, the freezing one with event callbacks for the tests
 that check the freeze discipline.  ``reference_verify`` is the
 per-vertex solution verifier that walks the successor and winner tuples
 and runs Tarjan over every claimed vertex.
+``reference_winner_controlled_cycles`` is the cycle reduction by SCC
+decomposition, on ``pf.sccs`` and ``pf.attract``.  ``winner_of`` and
+``onestep`` are the one-step semantics of DFI on flag sets.
 """
 
 from __future__ import annotations
@@ -57,6 +60,25 @@ def naive_attract(game: pf.ParityGame, alive, player: pf.Player, seed) -> frozen
     return frozenset(region)
 
 
+def winner_of(v: int, z, game: ParityGame) -> Player:
+    """Estimated winner of ``v`` under flag set ``z`` (any membership container)."""
+    par = game.priority[v] & 1
+    return Player(1 - par) if v in z else Player(par)
+
+
+def onestep(v: int, z, game: ParityGame) -> tuple[Player, int | None]:
+    """One-step evaluation of ``v``: can its owner move to an estimated win?
+
+    Returns the one-step winner and, when that is the owner, the first
+    winning successor in stored order; otherwise no successor.
+    """
+    ow = game.owner[v]
+    for u in game.successors[v]:
+        if winner_of(u, z, game) is ow:
+            return ow, u
+    return ow.opponent, None
+
+
 def reachable(game: pf.ParityGame, start: int) -> frozenset[int]:
     seen = {start}
     frontier = [start]
@@ -102,6 +124,35 @@ def sequential_self_loops(game: pf.ParityGame):
             changed = True
     dropped = {v for v in loopers if alive[v]}
     return winner, strategy, alive, dropped
+
+
+def reference_winner_controlled_cycles(game: pf.ParityGame):
+    """The cycle reduction by SCC decomposition, one player after the other.
+
+    For each player, every cyclic SCC of the alive vertices they own with
+    priorities of their parity is decided, together with its attractor.
+    Returns (win, to_parent, residual successors): ``win[v]`` is the
+    winner bit or -1.
+    """
+    n = game.n
+    alive = [True] * n
+    win = [-1] * n
+    for beta in (0, 1):
+        player = pf.Player(beta)
+        mask = [
+            alive[v] and game.owner[v] is player and game.priority[v] & 1 == beta for v in range(n)
+        ]
+        seeds = [v for comp in pf.sccs(game, mask) if comp.cyclic for v in comp.vertices]
+        if not seeds:
+            continue
+        region, _ = pf.attract(game, alive, player, seeds)
+        for v in region:
+            win[v] = beta
+            alive[v] = False
+    to_parent = [v for v in range(n) if alive[v]]
+    index = {v: i for i, v in enumerate(to_parent)}
+    successors = tuple(tuple(index[u] for u in game.successors[v] if alive[u]) for v in to_parent)
+    return win, to_parent, successors
 
 
 class FreezingEvents:
@@ -157,8 +208,8 @@ def freezing_loop(game, hooks, stats):
     """
     n = game.n
     succ = game.successors
-    par = game._parity_ints
-    own = game._owner_ints
+    par = [p & 1 for p in game.priority]
+    own = list(map(int, game.owner))
     d = game.max_priority
     z = bytearray(n)
     # freeze level + 1 per vertex, 0 meaning not frozen
@@ -229,8 +280,8 @@ def reference_freezing(game: pf.ParityGame, hooks: FreezingEvents | None = None)
     sorted_game, perm = pf.sort_by_priority(game)
     stats = LoopStats()
     z, st = freezing_loop(sorted_game, hooks, stats)
-    par = sorted_game._parity_ints
-    own = sorted_game._owner_ints
+    par = [p & 1 for p in sorted_game.priority]
+    own = list(map(int, sorted_game.owner))
     fwd, bwd = perm.forward, perm.backward
     winner, strategy = [], []
     for v in range(game.n):
@@ -251,8 +302,8 @@ def basic_loop(game, stats):
     """
     n = game.n
     succ = game.successors
-    par = game._parity_ints
-    own = game._owner_ints
+    par = [p & 1 for p in game.priority]
+    own = list(map(int, game.owner))
     z = bytearray(n)
     stats.state_bytes = n
     levels = game.levels
@@ -294,7 +345,7 @@ def reference_basic(game: pf.ParityGame) -> LoopOutcome:
     sorted_game, perm = pf.sort_by_priority(game)
     stats = LoopStats()
     z = basic_loop(sorted_game, stats)
-    par = sorted_game._parity_ints
+    par = [p & 1 for p in sorted_game.priority]
     fwd, bwd = perm.forward, perm.backward
     winner = tuple(pf.Player(par[fwd[v]] ^ z[fwd[v]]) for v in range(game.n))
     distractions = frozenset(bwd[s] for s in range(game.n) if z[s])

@@ -1,6 +1,9 @@
-"""Shared fixtures: the two golden games and seeded random-game helpers."""
+"""Shared fixtures: the two golden games, seeded random-game helpers and
+the import scan that keeps the oracles apart from the solve path."""
 
+import ast
 from pathlib import Path
+from types import ModuleType
 
 import pytest
 
@@ -73,3 +76,21 @@ def seeded_game(
         seed=seed,
     )
     return pf.random_game(params)
+
+
+def package_imports(module: ModuleType) -> set[str]:
+    """The ``parityfix`` modules that ``module``'s source imports, by name
+    within the package (``""`` for the package itself)."""
+    tree = ast.parse(Path(module.__file__).read_text())
+    package: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level:
+                package.update([node.module] if node.module else [a.name for a in node.names])
+            elif node.module and node.module.split(".")[0] == "parityfix":
+                package.add(node.module.partition(".")[2])
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "parityfix":
+                    package.add(alias.name.partition(".")[2])
+    return package

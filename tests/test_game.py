@@ -87,7 +87,7 @@ class TestSortByPriority:
     def test_backward_permutation_roundtrip(self, seed):
         game = seeded_game(seed)
         sorted_game, perm = pf.sort_by_priority(game)
-        back = pf.apply_backward(sorted_game, perm)
+        back = apply_backward(sorted_game, perm)
         assert back.priority == game.priority
         assert back.owner == game.owner
         assert back.successors == game.successors
@@ -101,6 +101,23 @@ class TestSortByPriority:
         n = game.n
         assert sorted(perm.forward) == list(range(n))
         assert all(perm.backward[perm.forward[v]] == v for v in range(n))
+
+
+def apply_backward(sorted_game: pf.ParityGame, perm: pf.SortPermutation) -> pf.ParityGame:
+    """Undo sort_by_priority, reproducing the original vertex order."""
+    if perm.is_identity:
+        return sorted_game
+    fwd = perm.forward
+    return pf.ParityGame(
+        priority=[sorted_game.priority[fwd[v]] for v in range(sorted_game.n)],
+        owner=[sorted_game.owner[fwd[v]] for v in range(sorted_game.n)],
+        successors=[
+            [perm.backward[u] for u in sorted_game.successors[fwd[v]]]
+            for v in range(sorted_game.n)
+        ],
+        original_id=[sorted_game.original_id[fwd[v]] for v in range(sorted_game.n)],
+        label=[sorted_game.label[fwd[v]] for v in range(sorted_game.n)],
+    )
 
 
 def _sort_reference(game: pf.ParityGame) -> tuple[pf.ParityGame, pf.SortPermutation]:

@@ -1,10 +1,22 @@
+import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import parityfix as pf
 from parityfix import Player, preprocess
 
-from _oracles import sequential_self_loops
+from _oracles import reference_winner_controlled_cycles, sequential_self_loops
 from conftest import seeded_game
+
+
+def winners(partial: pf.PartialSolution) -> dict[int, Player]:
+    """The decided vertices' winners, read off ``win``."""
+    return {v: Player(int(partial.win[v])) for v in np.flatnonzero(partial.win >= 0).tolist()}
+
+
+def strategies(partial: pf.PartialSolution) -> dict[int, int]:
+    """The decided vertices' strategies, read off ``choice``."""
+    return {v: int(partial.choice[v]) for v in np.flatnonzero(partial.choice >= 0).tolist()}
 
 
 class TestEliminateSelfLoops:
@@ -12,8 +24,8 @@ class TestEliminateSelfLoops:
         # Even-owned vertex with an even-priority self-loop wins by looping
         game = pf.ParityGame([2, 1], [0, 1], [[0, 1], [0]], original_id=[0, 1])
         partial, residual = pf.eliminate_self_loops(game)
-        assert partial.winner[0] is Player.EVEN
-        assert partial.strategy[0] == 0
+        assert partial.win[0] == Player.EVEN
+        assert partial.choice[0] == 0
         # vertex 1 is Odd-owned with its only escape into the Even dominion
         assert partial.decided == {0, 1}
         assert residual.n == 0
@@ -30,8 +42,8 @@ class TestEliminateSelfLoops:
         # Even-owned, odd priority, no other move: Odd wins it
         game = pf.ParityGame([1], [0], [[0]])
         partial, residual = pf.eliminate_self_loops(game)
-        assert partial.winner[0] is Player.ODD
-        assert 0 not in partial.strategy
+        assert partial.win[0] == Player.ODD
+        assert partial.choice[0] == -1
         assert residual.n == 0
 
     def test_cascading_forced_loop(self):
@@ -42,8 +54,7 @@ class TestEliminateSelfLoops:
             successors=[[0, 1], [1]],
         )
         partial, residual = pf.eliminate_self_loops(game)
-        assert partial.winner[1] is Player.ODD
-        assert partial.winner[0] is Player.ODD
+        assert partial.win.tolist() == [Player.ODD, Player.ODD]
         assert residual.n == 0
 
 
@@ -52,7 +63,7 @@ class TestWinnerControlledCycles:
         game = pf.ParityGame([2, 0], [0, 0], [[1], [0]])
         partial, residual = pf.winner_controlled_cycles(game)
         assert partial.decided == {0, 1}
-        assert all(partial.winner[v] is Player.EVEN for v in (0, 1))
+        assert partial.win.tolist() == [Player.EVEN, Player.EVEN]
         assert residual.n == 0
 
     def test_g2_nothing_decided(self, g2):
@@ -94,18 +105,19 @@ def test_decided_regions_are_loser_closed(seed):
     partials, _ = pf.apply_preprocessing(game)
     current = game
     for partial in partials:
+        winner, strategy = winners(partial), strategies(partial)
         for v in partial.decided:
-            w = partial.winner[v]
+            w = winner[v]
             if current.owner[v] is not w:
                 # the loser cannot leave the decided region into the rest
                 for u in current.successors[v]:
-                    assert u in partial.decided and partial.winner[u] is w
+                    assert u in partial.decided and winner[u] is w
         # winner-owned decided vertices carry a strategy into the region
         for v in partial.decided:
-            if current.owner[v] is partial.winner[v]:
-                target = partial.strategy[v]
+            if current.owner[v] is winner[v]:
+                target = strategy[v]
                 assert target in current.successors[v]
-                assert partial.winner.get(target) is partial.winner[v]
+                assert winner.get(target) is winner[v]
         # rebuild the child to walk down the chain
         alive = [v for v in range(current.n) if v not in partial.decided]
         assert list(partial.to_parent) == alive
@@ -140,8 +152,8 @@ def test_self_loops_match_sequential_reference(game):
     winner, _, alive, dropped = sequential_self_loops(game)
     partial, residual = pf.eliminate_self_loops(game)
     assert partial.decided == frozenset(winner)
-    assert partial.winner == winner
-    assert partial.residual.alive == tuple(alive)
+    assert winners(partial) == winner
+    assert (partial.win < 0).tolist() == alive
     kept = [v for v in range(game.n) if alive[v]]
     assert partial.to_parent.tolist() == kept
     index = {v: i for i, v in enumerate(kept)}
@@ -149,11 +161,10 @@ def test_self_loops_match_sequential_reference(game):
         tuple(index[u] for u in game.successors[v] if alive[u] and not (u == v and v in dropped))
         for v in kept
     )
-    for v, u in partial.strategy.items():
-        assert u in game.successors[v] and partial.winner.get(u) is partial.winner[v]
-    assert all(
-        v in partial.strategy for v in partial.decided if game.owner[v] is partial.winner[v]
-    )
+    strategy = strategies(partial)
+    for v, u in strategy.items():
+        assert u in game.successors[v] and winner.get(u) is winner[v]
+    assert all(v in strategy for v in partial.decided if game.owner[v] is winner[v])
     partials, rest = pf.apply_preprocessing(game)
     assert pf.verify(game, pf.compose_solution(partials, pf.solve(rest))).ok
 
@@ -176,6 +187,86 @@ def test_hostile_loop_chain_decided_by_one_attractor(monkeypatch):
     partial, residual = pf.eliminate_self_loops(game)
     assert calls == [1]
     assert residual.n == 0
-    assert set(partial.winner.values()) == {Player.ODD}
+    assert set(winners(partial).values()) == {Player.ODD}
     winner, _, _, _ = sequential_self_loops(_hostile_chain(60))
-    assert pf.eliminate_self_loops(_hostile_chain(60))[0].winner == winner
+    assert winners(pf.eliminate_self_loops(_hostile_chain(60))[0]) == winner
+
+
+def _doubled(game: pf.ParityGame, seed: int) -> pf.ParityGame:
+    """``game`` with some edges stored twice: about half of the self-loops
+    and a quarter of the other vertices' first edges."""
+    rng = pf.SplitMix64(seed)
+    successors = []
+    for v, succ in enumerate(game.successors):
+        succ = list(succ)
+        if v in succ and rng.below(2):
+            succ.insert(rng.below(len(succ) + 1), v)
+        elif rng.below(4) == 0:
+            succ.append(succ[0])
+        successors.append(succ)
+    return pf.ParityGame(game.priority, game.owner, successors)
+
+
+DUPLICATE_EDGE_GAMES = [
+    # a doubled friendly loop on vertex 0; vertex 1 can still escape to 2
+    pf.ParityGame([0, 0, 1], [0, 1, 1], [[0, 0], [0, 2], [2]]),
+    # a doubled hostile loop on vertex 0 beside its edge to 1
+    pf.ParityGame([1, 1], [0, 1], [[0, 0, 1], [1]]),
+    # a doubled edge that survives into the residual
+    pf.ParityGame([1, 2, 0], [0, 1, 0], [[1, 1], [0], [2]]),
+]
+
+
+def _check_preprocessed_solution(game: pf.ParityGame) -> None:
+    partials, residual = pf.apply_preprocessing(game)
+    assert all(residual.successors)
+    composed = pf.compose_solution(partials, pf.solve(residual))
+    assert composed.winner == pf.solve(game).winner == pf.solve_zielonka(game).winner
+    assert pf.verify(game, composed).ok
+
+
+@pytest.mark.parametrize("game", DUPLICATE_EDGE_GAMES)
+def test_duplicate_edge_cases(game):
+    _check_preprocessed_solution(game)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10**9), st.sampled_from([0.1, 0.4]))
+def test_duplicate_edges_keep_the_solution(seed, self_loop):
+    _check_preprocessed_solution(_doubled(seeded_game(seed, self_loop=self_loop), seed))
+
+
+def _check_against_reference_cycles(game: pf.ParityGame) -> None:
+    win, to_parent, successors = reference_winner_controlled_cycles(game)
+    partial, residual = pf.winner_controlled_cycles(game)
+    assert partial.win.tolist() == win
+    assert partial.to_parent.tolist() == to_parent
+    assert residual.successors == successors
+    for v in np.flatnonzero(partial.choice >= 0).tolist():
+        u = int(partial.choice[v])
+        assert u in game.successors[v] and win[u] == win[v] >= 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(loop_games())
+def test_cycles_match_scc_reference_on_loop_games(game):
+    _check_against_reference_cycles(game)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10**9))
+def test_cycles_match_scc_reference(seed):
+    _check_against_reference_cycles(seeded_game(seed, self_loop=0.4))
+
+
+def test_derived_games_build_no_successor_tuples():
+    """The reader, both reductions, the sort and the verifier read CSR arrays only."""
+    source = pf.random_game(pf.GenParams(n=500, max_priority=6, self_loop_probability=0.05, seed=1))
+    game = pf.parse_pgsolver(pf.write_pgsolver(source))
+    _, loopless = pf.eliminate_self_loops(game)
+    _, residual = pf.winner_controlled_cycles(loopless)
+    sorted_residual, _ = pf.sort_by_priority(residual)
+    assert pf.verify(game, pf.solve(source)).ok
+    assert 0 < residual.n < loopless.n < game.n
+    for derived in (game, loopless, residual, sorted_residual):
+        assert "successors" not in vars(derived)

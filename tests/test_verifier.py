@@ -1,6 +1,3 @@
-import ast
-from pathlib import Path
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -8,7 +5,7 @@ import parityfix as pf
 from parityfix import LosingCycleWitness, Player, verifier
 
 from _oracles import reference_verify
-from conftest import seeded_game
+from conftest import package_imports, seeded_game
 
 
 def mutate_winner(sol: pf.Solution, v: int) -> pf.Solution:
@@ -242,17 +239,6 @@ def test_duplicate_edges_match_reference():
 
 def test_verifier_imports_only_the_game_module():
     # the verifier checks the production path, so it may not share its code
-    tree = ast.parse(Path(verifier.__file__).read_text())
-    package: set[str] = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom):
-            if node.level:
-                package.update([node.module] if node.module else [a.name for a in node.names])
-            elif node.module and node.module.split(".")[0] == "parityfix":
-                package.add(node.module.partition(".")[2])
-        elif isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.name.split(".")[0] == "parityfix":
-                    package.add(alias.name.partition(".")[2])
+    package = package_imports(verifier)
     assert not package & {"solver", "preprocess", "fixpoint", "zielonka", "graphs"}
     assert package <= {"game"}
