@@ -40,7 +40,7 @@ from .game import (
     validate,
 )
 from .generator import GenParams, InvalidParamsError, SplitMix64, random_game
-from .graphs import Component, attract, sccs
+from .graphs import attract
 from .preprocess import (
     PartialSolution,
     apply_preprocessing,
@@ -94,9 +94,7 @@ __all__ = [
     "solve",
     "solve_basic",
     "solve_detailed",
-    "Component",
     "attract",
-    "sccs",
     "solve_zielonka",
     "RecursionDepthError",
     "FixpointBudgetError",

@@ -56,6 +56,7 @@ _LABEL = re.compile(r'"([^"]*)"')
 _HEADER = re.compile(r"(?:[ \t]*\r?\n)*[ \t]*parity[ \t]*[0-9]+[ \t]*;[ \t]*\r?$", re.M)
 
 _BLOCK = 1 << 16  # bytes per block of the array reader, cut at a line end
+_CHUNK = 1 << 12  # lines per chunk of ``write_solution``
 
 # Byte classes of the array reader, a translation table.  Spaces and
 # carriage returns make no tokens; digits and labels (quotes included, once
@@ -144,6 +145,25 @@ class _LineScanner:
             self.fail("expected keyword")
         self.pos = m.end()
         return m.group()
+
+
+def _header(sc: _LineScanner, keyword: str, *, first: bool) -> bool:
+    """Read a ``<keyword> <max-id>;`` header if the line starts with a word.
+
+    Returns whether it did.  A header is only allowed ``first``, before any
+    other header or record; any other word is an unexpected keyword.
+    """
+    if not sc.peek().isalpha():
+        return False
+    word_pos = sc.pos
+    if sc.take_word() != keyword or not first:
+        sc.pos = word_pos
+        sc.fail("unexpected keyword")
+    sc.take_int("max vertex id")
+    sc.take_char(";")
+    if not sc.at_end():
+        sc.fail("trailing characters after header")
+    return True
 
 
 def _lines(text: str | bytes) -> list[str]:
@@ -321,16 +341,7 @@ def _scan_pgsolver(text: str, *, permissive: bool = False) -> ParityGame:
         sc = _LineScanner(raw, lineno)
         if sc.at_end():
             continue
-        if sc.peek().isalpha():
-            word_pos = sc.pos
-            word = sc.take_word()
-            if word != "parity" or header_seen or records:
-                sc.pos = word_pos
-                sc.fail("unexpected keyword")
-            sc.take_int("max vertex id")
-            sc.take_char(";")
-            if not sc.at_end():
-                sc.fail("trailing characters after header")
+        if _header(sc, "parity", first=not (header_seen or records)):
             header_seen = True
             continue
         vid = sc.take_int("vertex id")
@@ -379,6 +390,11 @@ def _scan_pgsolver(text: str, *, permissive: bool = False) -> ParityGame:
     return game
 
 
+def _by_id(game: ParityGame) -> list[int]:
+    """The vertices in ascending original id order."""
+    return sorted(range(game.n), key=game.original_id.__getitem__)
+
+
 def write_pgsolver(game: ParityGame) -> str:
     """Serialize a game, vertices in ascending original id order.
 
@@ -387,9 +403,8 @@ def write_pgsolver(game: ParityGame) -> str:
     """
     if game.n == 0:
         return ""
-    order = sorted(range(game.n), key=lambda v: game.original_id[v])
     out = [f"parity {max(game.original_id)};"]
-    for v in order:
+    for v in _by_id(game):
         succ = ",".join(str(game.original_id[u]) for u in game.successors[v])
         label = game.label[v]
         if label is not None and ('"' in label or "\n" in label):
@@ -400,18 +415,27 @@ def write_pgsolver(game: ParityGame) -> str:
 
 
 def write_solution(game: ParityGame, sol: Solution) -> str:
-    """Serialize winners and strategies, vertices in ascending original id order."""
+    """Serialize winners and strategies, vertices in ascending original id order.
+
+    The text is joined in chunks of ``_CHUNK`` lines, so only one chunk's
+    line strings are alive at a time.
+    """
     if game.n == 0:
         return ""
     if sol.n != game.n:
         raise ValueError("solution does not match the game")
-    order = sorted(range(game.n), key=lambda v: game.original_id[v])
-    out = [f"paritysol {max(game.original_id)};"]
-    for v in order:
-        s = sol.strategy[v]
-        tail = f" {game.original_id[s]}" if s is not None else ""
-        out.append(f"{game.original_id[v]} {int(sol.winner[v])}{tail};")
-    return "\n".join(out) + "\n"
+    ids = game.original_id
+    win = sol.win.tolist()
+    choice = sol.choice.tolist()
+    order = _by_id(game)
+    out = [f"paritysol {max(ids)};\n"]
+    for a in range(0, game.n, _CHUNK):
+        lines = [
+            f"{ids[v]} {win[v]} {ids[s]};\n" if (s := choice[v]) >= 0 else f"{ids[v]} {win[v]};\n"
+            for v in order[a : a + _CHUNK]
+        ]
+        out.append("".join(lines))
+    return "".join(out)
 
 
 def parse_solution(text: str | bytes, game: ParityGame) -> Solution:
@@ -428,16 +452,7 @@ def parse_solution(text: str | bytes, game: ParityGame) -> Solution:
         sc = _LineScanner(raw, lineno)
         if sc.at_end():
             continue
-        if sc.peek().isalpha():
-            word_pos = sc.pos
-            word = sc.take_word()
-            if word != "paritysol" or header_seen or records:
-                sc.pos = word_pos
-                sc.fail("unexpected keyword")
-            sc.take_int("max vertex id")
-            sc.take_char(";")
-            if not sc.at_end():
-                sc.fail("trailing characters after header")
+        if _header(sc, "paritysol", first=not (header_seen or records)):
             header_seen = True
             continue
         vid = sc.take_int("vertex id")
@@ -462,4 +477,4 @@ def parse_solution(text: str | bytes, game: ParityGame) -> Solution:
     for v, w in enumerate(winner):
         if w is None:
             raise ParseError(0, 0, f"vertex id {game.original_id[v]} has no assignment")
-    return Solution(tuple(winner), tuple(strategy))  # type: ignore[arg-type]
+    return Solution(winner, strategy)  # type: ignore[arg-type]

@@ -307,24 +307,81 @@ class SortPermutation:
         return all(i == j for i, j in enumerate(self.forward))
 
 
-@dataclass(frozen=True)
+def _vertex_array(
+    values: Sequence[int] | np.ndarray, what: str, low: int, high: int, dtype: type = np.int64
+) -> np.ndarray:
+    """``values`` as a new ``dtype`` array, or ``ValueError`` naming the
+    first entry that is not an integer in ``low..high-1``."""
+    a = np.asarray(values)
+    if a.ndim == 1 and (
+        not a.size or a.dtype.kind in "biu" and low <= int(a.min()) and int(a.max()) < high
+    ):
+        return a.astype(dtype)
+    for v, x in enumerate(values.tolist() if isinstance(values, np.ndarray) else values):
+        if not (isinstance(x, (int, np.integer)) and low <= x < high):
+            raise ValueError(f"{what} of vertex {v} is {x!r}, not in {low}..{high - 1}")
+    raise ValueError(f"{what}s must be one integer per vertex")
+
+
 class Solution:
     """Winning regions and positional strategies for one game.
 
-    ``winner[v]`` is the player that wins vertex v.  ``strategy[v]`` is the
-    chosen successor for vertices owned by their winner; ``None`` elsewhere
-    (and everywhere for region-only solvers).
+    A solution is stored as two read-only arrays over the vertices: ``win``
+    (uint8) holds the ``Player`` value of each vertex's winner, and
+    ``choice`` (int64) the chosen successor of a vertex owned by its
+    winner, -1 elsewhere (and everywhere for region-only solvers).
+    ``winner`` (a tuple of ``Player``) and ``strategy`` (a successor or
+    ``None`` per vertex) are tuple views of them, built on first read.
+
+    The constructor takes either form: arrays as stored, or sequences of
+    players and of successors or ``None``.  It raises ``ValueError`` for a
+    winner other than 0 or 1, a strategy target outside ``0..n-1`` (for an
+    array, other than -1), a non-integer entry, or a strategy whose length
+    differs from the winners'.  Solutions compare by value and are not
+    hashable.
     """
 
-    winner: tuple[Player, ...]
-    strategy: tuple[int | None, ...]
+    def __init__(
+        self,
+        winner: Sequence[Player | int] | np.ndarray,
+        strategy: Sequence[int | None] | np.ndarray,
+    ):
+        win = _vertex_array(winner, "winner", 0, 2, np.uint8)
+        n = len(win)
+        if len(strategy) != n:
+            raise ValueError(f"strategy has {len(strategy)} entries for {n} winners")
+        if isinstance(strategy, np.ndarray):
+            choice = _vertex_array(strategy, "strategy target", -1, n)
+        else:
+            targets = [0 if s is None else s for s in strategy]
+            choice = _vertex_array(targets, "strategy target", 0, n)
+            choice[np.array([s is None for s in strategy], dtype=bool)] = -1
+        win.flags.writeable = choice.flags.writeable = False
+        self.win = win
+        self.choice = choice
+
+    @cached_property
+    def winner(self) -> tuple[Player, ...]:
+        return tuple(map(_PLAYER.__getitem__, self.win.tolist()))
+
+    @cached_property
+    def strategy(self) -> tuple[int | None, ...]:
+        return tuple(None if s < 0 else s for s in self.choice.tolist())
 
     def region(self, player: Player) -> frozenset[int]:
-        return frozenset(v for v, w in enumerate(self.winner) if w is player)
+        return frozenset(np.flatnonzero(self.win == player).tolist())
 
     @property
     def n(self) -> int:
-        return len(self.winner)
+        return len(self.win)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Solution):
+            return NotImplemented
+        return np.array_equal(self.win, other.win) and np.array_equal(self.choice, other.choice)
+
+    def __repr__(self) -> str:
+        return f"Solution(winner={self.winner!r}, strategy={self.strategy!r})"
 
 
 @dataclass(frozen=True)

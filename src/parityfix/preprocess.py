@@ -37,7 +37,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .game import _PLAYER, ParityGame, Solution, _positions, _priority_array
+from .game import ParityGame, Solution, _positions, _priority_array
 
 
 @dataclass(frozen=True, eq=False)
@@ -265,12 +265,7 @@ def compose_solution(partials: list[PartialSolution], residual_solution: Solutio
     """Fold the reduction chain back up to the original game."""
     if not partials:
         return residual_solution
-    win = np.fromiter(residual_solution.winner, dtype=np.int8, count=residual_solution.n)
-    choice = np.fromiter(
-        (-1 if s is None else s for s in residual_solution.strategy),
-        dtype=np.int64,
-        count=residual_solution.n,
-    )
+    win, choice = residual_solution.win, residual_solution.choice
     for partial in reversed(partials):
         to_parent = partial.to_parent
         if len(win) != len(to_parent):
@@ -281,8 +276,4 @@ def compose_solution(partials: list[PartialSolution], residual_solution: Solutio
         chosen = choice >= 0
         parent_choice[to_parent[chosen]] = to_parent[choice[chosen]]
         win, choice = parent_win, parent_choice
-    strategy = choice.tolist()
-    return Solution(
-        tuple(map(_PLAYER.__getitem__, win.tolist())),
-        tuple(None if s < 0 else s for s in strategy),
-    )
+    return Solution(win, choice)

@@ -68,7 +68,6 @@ from typing import Literal
 import numpy as np
 
 from .game import (
-    _PLAYER,
     ParityGame,
     Solution,
     SolveTimeoutError,
@@ -401,10 +400,8 @@ def solve_detailed(game: ParityGame, options: SolverOptions | None = None) -> Df
         strat = np.frombuffer(st, dtype=np.int32)
         chosen = np.flatnonzero((sorted_game._owner_bits == won) & (strat >= 0))
         choice[backward[chosen]] = backward[strat[chosen]]
-    winner = tuple(map(_PLAYER.__getitem__, win.tolist()))
-    strategy = tuple(None if s < 0 else s for s in choice.tolist())
     distractions = frozenset(backward[zbits != 0].tolist())
-    return DfiOutcome(Solution(winner, strategy), stats, distractions, sorted_game, perm)
+    return DfiOutcome(Solution(win, choice), stats, distractions, sorted_game, perm)
 
 
 def solve(game: ParityGame, options: SolverOptions | None = None) -> Solution:

@@ -6,9 +6,10 @@ strategy edge staying inside it, and in the graph restricted to strategy
 edges (claimant) plus all region-internal edges (opponent) every cycle's
 maximum priority has the claimant's parity.
 
-The checks read the game's CSR arrays and two arrays built once from the
-solution: each vertex's winner and strategy target (-1 for none).  The
-local checks (escape edges, missing strategies, strategies that are not a
+The checks read the game's CSR arrays and the solution's own arrays,
+``win`` and ``choice`` (each vertex's winner and strategy target, -1 for
+none); they build nothing from the solution's tuple views.  The local
+checks (escape edges, missing strategies, strategies that are not a
 region-internal edge) are whole-array comparisons over the edges.  A
 strategy self-loop is its vertex's only checked edge, so it is a cyclic
 component on its own and is checked on the spot.  The rest of the checked
@@ -181,16 +182,8 @@ def _witness_cycle(comp: list[int], adj: Sequence[list[int]], anchor: int) -> tu
     return (anchor, *nodes)
 
 
-def _choices(strategy: Sequence[int | None], n: int) -> np.ndarray:
-    """Strategy targets: -1 for none, ``n`` for any value outside 0..n-1.
-
-    int32 holds them all, since ``_csr`` rejects games of 2**31 vertices.
-    """
-    return np.array([-1 if s is None else s if 0 <= s < n else n for s in strategy], dtype=np.int32)
-
-
 def _local_checks(
-    game: ParityGame, sol: Solution, win: np.ndarray
+    game: ParityGame, sol: Solution
 ) -> tuple[list[list[Violation]], np.ndarray, np.ndarray]:
     """Each player's local faults and self-loop witnesses, and the
     (sources, targets) of the rest of the checked graph.
@@ -205,13 +198,14 @@ def _local_checks(
     the CSR order, so its sources ascend.
     """
     n = game.n
+    win, choice = sol.win, sol.choice
     indptr, targets, edge_owner = game._csr
     deg = np.diff(indptr)
     src = np.repeat(np.arange(n, dtype=np.int32), deg)
     win_src = np.repeat(win, deg)
     inside = win[targets] == win_src
     claimed = edge_owner == win_src  # the source's owner claims it
-    moves = targets == np.repeat(_choices(sol.strategy, n), deg)
+    moves = targets == np.repeat(choice, deg)
     moves &= claimed
     moves &= inside
     loops = moves & (targets == src)
@@ -226,8 +220,8 @@ def _local_checks(
     for i in np.argsort(keys).tolist():
         if i < len(faulty):
             v = int(faulty[i])
-            s = sol.strategy[v]
-            fault: Violation = MissingStrategy(v) if s is None else StrategyLeavesRegion(v, s)
+            s = int(choice[v])
+            fault: Violation = MissingStrategy(v) if s < 0 else StrategyLeavesRegion(v, s)
         else:
             e = int(escapes[i - len(faulty)])
             v = int(src[e])
@@ -312,13 +306,12 @@ def verify(game: ParityGame, sol: Solution) -> VerificationReport:
     game._csr  # raises on a sink or a dangling edge, as every solver does
     if not game.n:
         return VerificationReport(True, ())
-    win = np.frombuffer(bytes(sol.winner), dtype=np.uint8)
-    found, sources, targets = _local_checks(game, sol, win)
+    found, sources, targets = _local_checks(game, sol)
     kept, adj = _survivor_graph(game.n, sources, targets)
     del sources, targets
     vertices = kept.tolist()
     priority = list(map(game.priority.__getitem__, vertices))
-    side = win[kept]
+    side = sol.win[kept]
     k = len(vertices)
     index = [-1] * k
     lowlink = [0] * k

@@ -10,7 +10,8 @@ that check the freeze discipline.  ``reference_verify`` is the
 per-vertex solution verifier that walks the successor and winner tuples
 and runs Tarjan over every claimed vertex.
 ``reference_winner_controlled_cycles`` is the cycle reduction by SCC
-decomposition, on ``pf.sccs`` and ``pf.attract``.  ``winner_of`` and
+decomposition, on ``sccs`` (iterative Tarjan, here since no production
+module reads it) and ``pf.attract``.  ``winner_of`` and
 ``onestep`` are the one-step semantics of DFI on flag sets.
 """
 
@@ -126,6 +127,78 @@ def sequential_self_loops(game: pf.ParityGame):
     return winner, strategy, alive, dropped
 
 
+@dataclass(frozen=True)
+class Component:
+    """One strongly connected component; cyclic iff it can host a play."""
+
+    vertices: tuple[int, ...]
+    cyclic: bool
+
+
+def sccs(game: ParityGame, restriction: list[bool] | None = None) -> list[Component]:
+    """Tarjan's algorithm over the alive subgraph, iterative.
+
+    Components come out in reverse topological order of the condensation
+    (every component precedes the components that can reach it).
+    """
+    alive = [True] * game.n if restriction is None else restriction
+    succ = game.successors
+    n = game.n
+    index = [-1] * n
+    lowlink = [0] * n
+    on_stack = [False] * n
+    stack: list[int] = []
+    counter = 0
+    out: list[Component] = []
+
+    for root in range(n):
+        if not alive[root] or index[root] != -1:
+            continue
+        work: list[tuple[int, int]] = [(root, 0)]
+        while work:
+            v, si = work[-1]
+            if si == 0:
+                index[v] = lowlink[v] = counter
+                counter += 1
+                stack.append(v)
+                on_stack[v] = True
+            advanced = False
+            while si < len(succ[v]):
+                u = succ[v][si]
+                si += 1
+                if not alive[u]:
+                    continue
+                if index[u] == -1:
+                    work[-1] = (v, si)
+                    work.append((u, 0))
+                    advanced = True
+                    break
+                if on_stack[u]:
+                    if index[u] < lowlink[v]:
+                        lowlink[v] = index[u]
+            if advanced:
+                continue
+            work.pop()
+            if work:
+                parent = work[-1][0]
+                if lowlink[v] < lowlink[parent]:
+                    lowlink[parent] = lowlink[v]
+            if lowlink[v] == index[v]:
+                comp: list[int] = []
+                while True:
+                    w = stack.pop()
+                    on_stack[w] = False
+                    comp.append(w)
+                    if w == v:
+                        break
+                vertices = tuple(comp)
+                cyclic = len(vertices) > 1 or any(
+                    u == vertices[0] for u in succ[vertices[0]] if alive[u]
+                )
+                out.append(Component(vertices, cyclic))
+    return out
+
+
 def reference_winner_controlled_cycles(game: pf.ParityGame):
     """The cycle reduction by SCC decomposition, one player after the other.
 
@@ -142,7 +215,7 @@ def reference_winner_controlled_cycles(game: pf.ParityGame):
         mask = [
             alive[v] and game.owner[v] is player and game.priority[v] & 1 == beta for v in range(n)
         ]
-        seeds = [v for comp in pf.sccs(game, mask) if comp.cyclic for v in comp.vertices]
+        seeds = [v for comp in sccs(game, mask) if comp.cyclic for v in comp.vertices]
         if not seeds:
             continue
         region, _ = pf.attract(game, alive, player, seeds)

@@ -35,6 +35,61 @@ class TestConstructor:
         assert pf.ParityGame([0], [owner], [[0]]).owner[0] is pf.Player.ODD
 
 
+class TestSolution:
+    @pytest.mark.parametrize("winner", [2, -1, 2**70, None, 0.5])
+    def test_winner_must_be_a_player(self, winner):
+        with pytest.raises(ValueError, match="winner of vertex 1 is"):
+            pf.Solution((pf.Player.EVEN, winner), (None, None))
+
+    @pytest.mark.parametrize("target", [2, -1, 2**70, 1.0])
+    def test_strategy_target_must_be_a_vertex(self, target):
+        with pytest.raises(ValueError, match="strategy target of vertex 0 is"):
+            pf.Solution((pf.Player.EVEN, pf.Player.ODD), (target, None))
+
+    @pytest.mark.parametrize("strategy", [(), (None,), (None, None, None)])
+    def test_strategy_length_must_match(self, strategy):
+        with pytest.raises(ValueError, match=f"strategy has {len(strategy)} entries for 2 winners"):
+            pf.Solution((pf.Player.EVEN, pf.Player.ODD), strategy)
+
+    @pytest.mark.parametrize(
+        "win, choice",
+        [
+            (np.array([0, 2], dtype=np.uint8), np.array([-1, -1])),
+            (np.array([0, 1], dtype=np.int8), np.array([-2, -1])),
+            (np.array([0, 1]), np.array([0, 2])),
+            (np.array([0, 1]), np.array([0, 2**64 - 1], dtype=np.uint64)),  # -1 as int64
+            (np.array([0.0, 1.0]), np.array([-1, -1])),
+        ],
+    )
+    def test_arrays_are_checked(self, win, choice):
+        # in an array, -1 means no strategy; nothing else outside the range passes
+        with pytest.raises(ValueError):
+            pf.Solution(win, choice)
+
+    def test_arrays_and_sequences_agree(self):
+        winner = (pf.Player.ODD, pf.Player.EVEN, pf.Player.EVEN)
+        strategy = (None, 2, 0)
+        from_seqs = pf.Solution(winner, strategy)
+        from_arrays = pf.Solution(np.array([1, 0, 0], dtype=np.int8), np.array([-1, 2, 0]))
+        assert from_arrays == from_seqs
+        assert from_arrays.winner == winner and from_arrays.strategy == strategy
+        assert all(type(w) is pf.Player for w in from_arrays.winner)
+        assert from_seqs.win.dtype == np.uint8 and from_seqs.choice.dtype == np.int64
+        assert from_seqs.win.tolist() == [1, 0, 0] and from_seqs.choice.tolist() == [-1, 2, 0]
+        assert from_seqs.region(pf.Player.EVEN) == {1, 2}
+        assert from_seqs != pf.Solution(winner, (None, 2, None))
+
+    def test_arrays_are_read_only_copies(self):
+        win = np.zeros(2, dtype=np.uint8)
+        sol = pf.Solution(win, np.full(2, -1))
+        win[0] = 1
+        assert sol.winner == (pf.Player.EVEN, pf.Player.EVEN)
+        with pytest.raises(ValueError):
+            sol.win[0] = 1
+        with pytest.raises(TypeError):
+            hash(sol)
+
+
 class TestValidate:
     def test_empty_game_is_legal(self):
         pf.validate(pf.ParityGame([], [], []))

