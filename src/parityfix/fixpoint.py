@@ -111,7 +111,6 @@ def bfl_win0(
     n = game.n
     if n == 0:
         return frozenset()
-    game._csr  # raises on a sink or a dangling edge
     levels = sorted(set(game.priority), reverse=True)
     succ = game.successors
     owner = game.owner

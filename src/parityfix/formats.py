@@ -26,9 +26,9 @@ int64 numbers.  Over the whole text, ids must be distinct, every target
 must be declared and no row may repeat a target.  The reader then builds
 the game straight from its CSR arrays.  Anything else (a late header, an
 owner written ``01``, a 19-digit number, a non-ASCII digit, any error)
-hands the whole text to the line scanner, which builds the same game or
-raises.  So every error, with its line, column and message, comes from the
-line scanner.
+hands the whole text to the line scanner, which raises or builds the same
+game through the constructor.  So every error, with its line, column and
+message, comes from the line scanner.  The writers read the game's arrays.
 """
 
 from __future__ import annotations
@@ -38,14 +38,7 @@ import re
 
 import numpy as np
 
-from .game import (
-    DanglingEdgeError,
-    DuplicateEdgeError,
-    ParityGame,
-    Player,
-    Solution,
-    validate,
-)
+from .game import DanglingEdgeError, DuplicateEdgeError, ParityGame, Player, Solution
 
 log = logging.getLogger(__name__)
 
@@ -173,7 +166,7 @@ def _lines(text: str | bytes) -> list[str]:
 
 
 def parse_pgsolver(text: str | bytes, *, permissive: bool = False) -> ParityGame:
-    """Parse a game file and validate the result.
+    """Parse a game file into a game without sinks, dangling or duplicate edges.
 
     ``permissive`` downgrades duplicate successor entries to a dedup with a
     logged warning instead of an error.
@@ -244,7 +237,7 @@ def _read_arrays(text: str) -> ParityGame | None:
     for v, (a, b) in zip(label_at.tolist(), label_span.reshape(-1, 2).tolist()):
         label[v] = raw[a:b].decode()
     return ParityGame._from_csr(
-        priority, owner.astype(np.uint8), indptr, targets.astype(np.int32), ids.tolist(), label
+        priority, owner.astype(np.uint8), indptr, targets.astype(np.int32), ids, label
     )
 
 
@@ -333,7 +326,8 @@ def _read_block(block: bytes) -> list[np.ndarray] | None:
 
 
 def _scan_pgsolver(text: str, *, permissive: bool = False) -> ParityGame:
-    """Parse line by line with exact error positions, and validate the result."""
+    """Parse line by line with exact error positions; a row with an undeclared
+    or repeated target never reaches the constructor."""
     records: list[tuple[int, int, int, list[int], str | None]] = []
     index_of: dict[int, int] = {}
     header_seen = False
@@ -364,7 +358,6 @@ def _scan_pgsolver(text: str, *, permissive: bool = False) -> ParityGame:
         index_of[vid] = len(records)
         records.append((vid, priority, owner, succ_ids, label))
 
-    n = len(records)
     priorities = [r[1] for r in records]
     owners = [r[2] for r in records]
     ids = [r[0] for r in records]
@@ -385,14 +378,12 @@ def _scan_pgsolver(text: str, *, permissive: bool = False) -> ParityGame:
             seen.add(u)
             row.append(u)
         successors.append(row)
-    game = ParityGame(priorities, owners, successors, original_id=ids, label=labels)
-    validate(game)
-    return game
+    return ParityGame(priorities, owners, successors, original_id=ids, label=labels)
 
 
-def _by_id(game: ParityGame) -> list[int]:
+def _by_id(game: ParityGame) -> np.ndarray:
     """The vertices in ascending original id order."""
-    return sorted(range(game.n), key=game.original_id.__getitem__)
+    return np.argsort(game._ids, kind="stable")
 
 
 def write_pgsolver(game: ParityGame) -> str:
@@ -403,38 +394,43 @@ def write_pgsolver(game: ParityGame) -> str:
     """
     if game.n == 0:
         return ""
-    out = [f"parity {max(game.original_id)};"]
-    for v in _by_id(game):
-        succ = ",".join(str(game.original_id[u]) for u in game.successors[v])
+    indptr, targets, _ = game._csr
+    ids = list(map(str, game._ids.tolist()))
+    succ = list(map(ids.__getitem__, targets.tolist()))
+    bounds = indptr.tolist()
+    priority = game._priority.tolist()
+    owner = game._owner_bits.tolist()
+    out = [f"parity {game._ids.max()};"]
+    for v in _by_id(game).tolist():
         label = game.label[v]
         if label is not None and ('"' in label or "\n" in label):
-            raise ValueError(f"vertex {game.original_id[v]}: label {label!r} cannot be written")
+            raise ValueError(f"vertex {ids[v]}: label {label!r} cannot be written")
         lbl = f' "{label}"' if label is not None else ""
-        out.append(f"{game.original_id[v]} {game.priority[v]} {int(game.owner[v])} {succ}{lbl};")
+        row = ",".join(succ[bounds[v] : bounds[v + 1]])
+        out.append(f"{ids[v]} {priority[v]} {owner[v]} {row}{lbl};")
     return "\n".join(out) + "\n"
 
 
 def write_solution(game: ParityGame, sol: Solution) -> str:
     """Serialize winners and strategies, vertices in ascending original id order.
 
-    The text is joined in chunks of ``_CHUNK`` lines, so only one chunk's
-    line strings are alive at a time.
+    The text is joined in chunks of ``_CHUNK`` lines, each read off the
+    arrays on its own, so only one chunk's Python ints and line strings are
+    alive at a time.
     """
     if game.n == 0:
         return ""
     if sol.n != game.n:
         raise ValueError("solution does not match the game")
-    ids = game.original_id
-    win = sol.win.tolist()
-    choice = sol.choice.tolist()
+    ids = game._ids
     order = _by_id(game)
-    out = [f"paritysol {max(ids)};\n"]
+    out = [f"paritysol {ids.max()};\n"]
     for a in range(0, game.n, _CHUNK):
-        lines = [
-            f"{ids[v]} {win[v]} {ids[s]};\n" if (s := choice[v]) >= 0 else f"{ids[v]} {win[v]};\n"
-            for v in order[a : a + _CHUNK]
-        ]
-        out.append("".join(lines))
+        vs = order[a : a + _CHUNK]
+        choice = sol.choice[vs]
+        # a vertex without a strategy (-1) reads the last id, unused
+        rows = zip(ids[vs].tolist(), sol.win[vs].tolist(), choice.tolist(), ids[choice].tolist())
+        out.append("".join(f"{i} {w} {t};\n" if s >= 0 else f"{i} {w};\n" for i, w, s, t in rows))
     return "".join(out)
 
 
@@ -443,7 +439,7 @@ def parse_solution(text: str | bytes, game: ParityGame) -> Solution:
 
     Every vertex of the game must be assigned exactly once.
     """
-    index_of = {oid: v for v, oid in enumerate(game.original_id)}
+    index_of = {oid: v for v, oid in enumerate(game._ids.tolist())}
     winner: list[Player | None] = [None] * game.n
     strategy: list[int | None] = [None] * game.n
     header_seen = False

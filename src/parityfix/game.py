@@ -10,12 +10,11 @@ the caller's namespace.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import cached_property
 from itertools import chain
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -77,7 +76,7 @@ class DanglingEdgeError(ValidationError):
     def __init__(self, vertex: int, target: int, message: str | None = None):
         self.vertex = vertex
         self.target = target
-        super().__init__(message or f"edge {vertex} -> {target} leaves the vertex range")
+        super().__init__(message or f"edge {vertex} -> {target!r} leaves the vertex range")
 
 
 class DuplicateEdgeError(ValidationError):
@@ -98,82 +97,145 @@ def _positions(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.nda
     return pos, bounds
 
 
-class ParityGame:
-    """Immutable indexed parity game.
+def _naturals(values: Sequence[int] | np.ndarray, what: str) -> np.ndarray:
+    """``values`` as int64 values, or as Python ints in an object array when
+    one of them is beyond int64; ``ValueError`` names the first entry that
+    is not a nonnegative integer."""
+    a = np.asarray(values)
+    # unsigned arrays take the loop: numpy 1.x compares uint64 with int as float64
+    if a.ndim == 1 and a.dtype.kind in "bi" and (not a.size or a.min() >= 0):
+        return a.astype(np.int64)
+    for v, x in enumerate(values.tolist() if isinstance(values, np.ndarray) else values):
+        if not (isinstance(x, (int, np.integer)) and x >= 0):
+            raise ValueError(f"{what} of vertex {v} is {x!r}, not a nonnegative integer")
+    return np.array([int(x) for x in values], dtype=object)
 
-    ``priority``, ``owner``, ``successors``, ``original_id`` and ``label``
-    are parallel tuples indexed by vertex.  Successor lists keep their
-    construction order; solvers use that order for deterministic
-    tie-breaking.  A game built by the constructor holds the successor
-    tuples it was given and derives its CSR arrays (``_csr``) from them.
-    The games that the reader, the sort and the preprocessing build come
-    from CSR arrays, and their ``successors`` are a view of those arrays,
-    built on first read.
+
+def _narrow(a: np.ndarray) -> np.ndarray:
+    """An object array of Python ints as int64 values when they all fit."""
+    if a.dtype == object and (not a.size or a.max() <= 2**63 - 1):
+        return a.astype(np.int64)
+    return a
+
+
+def _first_repeat(keys: np.ndarray) -> int:
+    """The first index whose key equals an earlier index's key, or -1."""
+    order = np.argsort(keys, kind="stable")
+    later = order[1:][keys[order[1:]] == keys[order[:-1]]]
+    return int(later.min()) if len(later) else -1
+
+
+class ParityGame:
+    """Immutable indexed parity game, stored as arrays over its vertices.
+
+    ``_store`` sets them all: ``_priority`` and ``_ids`` (the original ids)
+    hold int64 values, or Python ints in an object array when one of them
+    is beyond int64; ``_owner_bits`` and ``_parity_bits`` hold uint8 bits;
+    ``_csr`` is (indptr int64, targets int32, the edge source's owner bit)
+    with each successor list in stored order, which solvers use for
+    deterministic tie-breaking; ``label`` is a tuple.  ``priority``,
+    ``owner`` (of ``Player``), ``original_id``, ``successors`` and
+    ``predecessors`` are tuple views of the arrays, built on first read.
+
+    The constructor refuses, with ``ValueError``, lengths that differ, an
+    owner that is not a player, and a priority or original id that is not a
+    nonnegative integer or an id that repeats; it raises the
+    ``SinkVertexError`` or ``DanglingEdgeError`` (a target that is not an
+    integer in ``0..n-1``) of the first such vertex.  So only duplicate
+    edges are left for ``validate``.  The reader, the sort and the
+    reductions build games from checked arrays (``_from_csr``).
     """
 
     def __init__(
         self,
         priority: Sequence[int],
         owner: Sequence[Player | int],
-        successors: Sequence[Iterable[int]],
+        successors: Sequence[Sequence[int]],
         original_id: Sequence[int] | None = None,
         label: Sequence[str | None] | None = None,
     ):
         n = len(priority)
-        if len(owner) != n or len(successors) != n:
-            raise ValueError("priority, owner and successors must have equal length")
-        if original_id is not None and len(original_id) != n:
-            raise ValueError("original_id length mismatch")
-        if label is not None and len(label) != n:
-            raise ValueError("label length mismatch")
-        self.priority: tuple[int, ...] = tuple(map(int, priority))
-        if min(self.priority, default=0) < 0:
-            raise ValueError("priorities must be nonnegative")
+        if any(a is not None and len(a) != n for a in (owner, successors, original_id, label)):
+            raise ValueError("priority, owner, successors, original_id and label differ in length")
+        if n >= 2**31:
+            raise ValueError("games this large are not supported")
         try:
-            self.owner: tuple[Player, ...] = tuple(map(_PLAYER.__getitem__, owner))
-        except (KeyError, TypeError):
-            self.owner = tuple(Player(o) for o in owner)  # raises Player's ValueError
-        self.successors: tuple[tuple[int, ...], ...] = tuple(
-            tuple(map(int, succ)) for succ in successors
+            owner_bits = np.fromiter(map(_PLAYER.__getitem__, owner), dtype=np.uint8, count=n)
+        except (KeyError, TypeError):  # Player raises the ValueError
+            owner_bits = np.fromiter(map(Player, owner), dtype=np.uint8, count=n)
+        ids = np.arange(n, dtype=np.int64)
+        if original_id is not None:
+            ids = _naturals(original_id, "original_id")
+            if (v := _first_repeat(ids)) >= 0:
+                first = np.flatnonzero(ids == ids[v])[0]
+                raise ValueError(f"original_id of vertex {v} is {ids[v]}, the id of vertex {first}")
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.fromiter(map(len, successors), dtype=np.int64, count=n), out=indptr[1:])
+        flat = list(chain.from_iterable(successors))
+        targets = np.asarray(flat)
+        if targets.ndim == 1 and targets.dtype.kind in "biu":
+            bad = (targets < 0) | (targets >= n)
+        else:  # not all integers, or integers beyond int64: one by one
+            bad = [not (isinstance(u, (int, np.integer)) and 0 <= u < n) for u in flat]
+        bad = np.flatnonzero(bad)
+        sinks = np.flatnonzero(indptr[1:] == indptr[:-1])
+        if len(sinks) or len(bad):  # the first vertex that is a sink or has a bad target
+            v = np.searchsorted(indptr, bad[0], side="right") - 1 if len(bad) else n
+            if len(sinks) and sinks[0] < v:
+                raise SinkVertexError(int(sinks[0]))
+            u = flat[bad[0]]
+            raise DanglingEdgeError(int(v), int(u) if isinstance(u, np.integer) else u)
+        self._store(
+            _naturals(priority, "priority"),
+            owner_bits,
+            indptr,
+            targets.astype(np.int32),
+            ids,
+            (None,) * n if label is None else label,
         )
-        self.original_id: tuple[int, ...] = (
-            tuple(map(int, original_id)) if original_id is not None else tuple(range(n))
-        )
-        self.label: tuple[str | None, ...] = tuple(label) if label is not None else (None,) * n
 
     @classmethod
-    def _from_csr(
-        cls,
+    def _from_csr(cls, *arrays) -> "ParityGame":
+        """The game of ``_store``'s arguments, checked by the caller: no sink,
+        no target out of range, no repeated id; duplicate edges are kept."""
+        game = cls.__new__(cls)
+        game._store(*arrays)
+        return game
+
+    def _store(
+        self,
         priority: np.ndarray,
         owner: np.ndarray,
         indptr: np.ndarray,
         targets: np.ndarray,
-        original_id: Sequence[int],
+        ids: np.ndarray,
         label: Sequence[str | None],
-    ) -> "ParityGame":
-        """The game of CSR arrays that ``_csr`` would accept: every row has a
-        successor and every target is in range.  Duplicate edges are kept.
+    ) -> None:
+        """Set the arrays that hold the game, read-only; the one place that does."""
+        self._priority = _narrow(priority)
+        self._parity_bits = (self._priority & 1).astype(np.uint8)
+        self._owner_bits = owner
+        self._csr = indptr, targets, np.repeat(owner, np.diff(indptr))
+        self._ids = _narrow(ids)
+        self.label = tuple(label)
+        for a in (self._priority, self._parity_bits, self._owner_bits, self._ids, *self._csr):
+            a.flags.writeable = False
 
-        ``priority`` holds int64 values (Python ints in an object array
-        beyond that), ``owner`` bits (uint8), ``indptr`` int64 and
-        ``targets`` int32 values; they become the ``_parity_bits``,
-        ``_owner_bits`` and ``_csr`` caches.  No successor tuple is built
-        until ``successors`` is read.
-        """
-        game = cls.__new__(cls)
-        game.priority = tuple(priority.tolist())
-        game.owner = tuple(map(_PLAYER.__getitem__, owner.tolist()))
-        game.original_id = tuple(original_id)
-        game.label = tuple(label)
-        game._parity_bits = (priority & 1).astype(np.uint8)
-        game._owner_bits = owner
-        game._csr = indptr, targets, np.repeat(owner, np.diff(indptr))
-        return game
+    @cached_property
+    def priority(self) -> tuple[int, ...]:
+        return tuple(self._priority.tolist())
+
+    @cached_property
+    def owner(self) -> tuple[Player, ...]:
+        return tuple(map(_PLAYER.__getitem__, self._owner_bits.tolist()))
+
+    @cached_property
+    def original_id(self) -> tuple[int, ...]:
+        return tuple(self._ids.tolist())
 
     @cached_property
     def successors(self) -> tuple[tuple[int, ...], ...]:
-        """Successor lists in stored order; an array-built game reads them
-        off its CSR on first use."""
+        """Successor lists in stored order."""
         indptr, targets, _ = self._csr
         flat = targets.tolist()
         bounds = indptr.tolist()
@@ -181,7 +243,7 @@ class ParityGame:
 
     @property
     def n(self) -> int:
-        return len(self.priority)
+        return len(self._owner_bits)
 
     def __len__(self) -> int:
         return self.n
@@ -189,16 +251,15 @@ class ParityGame:
     @cached_property
     def max_priority(self) -> int:
         """Highest priority in the game; 0 for the empty game."""
-        return max(self.priority, default=0)
+        return int(self._priority.max()) if self.n else 0
 
-    @cached_property
+    @property
     def edge_count(self) -> int:
-        if "successors" in vars(self):
-            return sum(map(len, self.successors))
         return len(self._csr[1])
 
     def has_self_loop(self, v: int) -> bool:
-        return v in self.successors[v]
+        indptr, targets, _ = self._csr
+        return bool((targets[indptr[v] : indptr[v + 1]] == v).any())
 
     @cached_property
     def predecessors(self) -> tuple[tuple[int, ...], ...]:
@@ -215,46 +276,8 @@ class ParityGame:
 
     @cached_property
     def is_priority_sorted(self) -> bool:
-        pr = self.priority
-        return all(pr[i] <= pr[i + 1] for i in range(len(pr) - 1))
-
-    @cached_property
-    def _csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(indptr, targets, edge source owner bit) in CSR layout.
-
-        Raises the ``SinkVertexError`` or ``DanglingEdgeError`` that
-        ``validate`` meets first, so no array code reads past a vertex range.
-        """
-        n = self.n
-        if n >= 2**31:
-            raise ValueError("games this large are not supported")
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.fromiter(map(len, self.successors), dtype=np.int64, count=n), out=indptr[1:])
-        try:
-            with warnings.catch_warnings():
-                # numpy 1.x wraps a target beyond 32 bits with this warning
-                warnings.simplefilter("error", DeprecationWarning)
-                targets = np.fromiter(
-                    chain.from_iterable(self.successors), dtype=np.int32, count=int(indptr[-1])
-                )
-        except (OverflowError, DeprecationWarning):  # a target beyond 32 bits
-            self._raise_malformed()
-        counts = np.diff(indptr)
-        # negative targets wrap to values of at least 2**31
-        if n and (counts.min() == 0 or targets.view(np.uint32).max() >= n):
-            self._raise_malformed()
-        edge_owner = np.repeat(self._owner_bits, counts)
-        return indptr, targets, edge_owner
-
-    def _raise_malformed(self) -> None:
-        """Raise the error of the first sink or dangling edge, as ``validate``
-        would, but not the duplicate edges, which no solver minds."""
-        for v, succ in enumerate(self.successors):
-            if not succ:
-                raise SinkVertexError(v)
-            for u in succ:
-                if not 0 <= u < self.n:
-                    raise DanglingEdgeError(v, u)
+        pr = self._priority
+        return bool((pr[1:] >= pr[:-1]).all())
 
     @cached_property
     def _reverse_csr(self) -> tuple[np.ndarray, np.ndarray]:
@@ -266,25 +289,14 @@ class ParityGame:
         return rev_indptr, sources[np.argsort(targets, kind="stable")]
 
     @cached_property
-    def _parity_bits(self) -> np.ndarray:
-        return np.fromiter((p & 1 for p in self.priority), dtype=np.uint8, count=self.n)
-
-    @cached_property
-    def _owner_bits(self) -> np.ndarray:
-        return np.fromiter(map(int, self.owner), dtype=np.uint8, count=self.n)
-
-    @cached_property
     def levels(self) -> tuple[tuple[int, int, int], ...]:
         """(priority, lo, hi) ranges of equal priority; requires sorted order."""
         if not self.is_priority_sorted:
             raise ValueError("levels are only defined for priority-sorted games")
-        out: list[tuple[int, int, int]] = []
-        lo = 0
-        for i in range(1, self.n + 1):
-            if i == self.n or self.priority[i] != self.priority[lo]:
-                out.append((self.priority[lo], lo, i))
-                lo = i
-        return tuple(out)
+        pr = self._priority
+        lo = np.flatnonzero(np.concatenate(([self.n > 0], pr[1:] != pr[:-1])))
+        hi = np.append(lo[1:], self.n)
+        return tuple(zip(pr[lo].tolist(), lo.tolist(), hi.tolist()))
 
     def __repr__(self) -> str:
         return f"ParityGame(n={self.n}, edges={self.edge_count}, d={self.max_priority})"
@@ -394,24 +406,19 @@ class GameStats:
 
 
 def validate(game: ParityGame) -> None:
-    """Check the structural invariants; raise ValidationError on the first hit."""
-    n = game.n
-    for v, succ in enumerate(game.successors):
-        if not succ:
-            raise SinkVertexError(v)
-        seen: set[int] = set()
-        for u in succ:
-            if u < 0 or u >= n:
-                raise DanglingEdgeError(v, u)
-            if u in seen:
-                raise DuplicateEdgeError(v, u)
-            seen.add(u)
+    """Raise ``DuplicateEdgeError`` for the first edge, in stored order, that
+    repeats an earlier edge of its vertex.
 
-
-def _priority_array(priority: Sequence[int]) -> np.ndarray:
-    """``priority`` as int64 values, or as Python ints in an object array
-    when one of them needs 64 bits or more."""
-    return np.array(priority, dtype=np.int64 if max(priority, default=0) < 2**63 else object)
+    The constructor has checked every other invariant: each vertex has a
+    successor and every target is in the vertex range.  The reader refuses
+    duplicate edges too, but the constructor and the derived games keep them.
+    """
+    indptr, targets, _ = game._csr
+    keys = np.repeat(np.arange(game.n, dtype=np.int64), np.diff(indptr)) * game.n + targets
+    e = _first_repeat(keys)
+    if e >= 0:
+        v = int(np.searchsorted(indptr, e, side="right")) - 1
+        raise DuplicateEdgeError(v, int(targets[e]))
 
 
 def sort_by_priority(game: ParityGame) -> tuple[ParityGame, SortPermutation]:
@@ -424,19 +431,18 @@ def sort_by_priority(game: ParityGame) -> tuple[ParityGame, SortPermutation]:
     n = game.n
     if game.is_priority_sorted:
         return game, SortPermutation.identity(n)
-    indptr, targets, _ = game._csr  # raises on a sink or a dangling edge
-    priority = _priority_array(game.priority)
-    backward = np.argsort(priority, kind="stable")
+    indptr, targets, _ = game._csr
+    backward = np.argsort(game._priority, kind="stable")
     forward = np.empty(n, dtype=np.int32)
     forward[backward] = np.arange(n, dtype=np.int32)
     pos, sorted_indptr = _positions(indptr, backward)
     order = backward.tolist()
     sorted_game = ParityGame._from_csr(
-        priority[backward],
+        game._priority[backward],
         game._owner_bits[backward],
         sorted_indptr,
         forward[targets[pos]],
-        list(map(game.original_id.__getitem__, order)),
+        game._ids[backward],
         list(map(game.label.__getitem__, order)),
     )
     return sorted_game, SortPermutation(tuple(forward.tolist()), tuple(order))
@@ -450,6 +456,6 @@ def game_stats(game: ParityGame) -> GameStats:
         n=n,
         edges=edges,
         max_priority=game.max_priority,
-        distinct_priorities=len(set(game.priority)),
+        distinct_priorities=len(set(game._priority.tolist())),
         avg_outdegree=(edges / n) if n else 0.0,
     )

@@ -25,9 +25,9 @@ own vertices of their own parity, the vertices that cannot stay forever
 are the ones from which every path reaches a vertex with no successor
 inside; the same count-down attractor, run for the other player from
 those vertices, finds them.  The rest, and their attractor, are won.
-Derived games are built from CSR arrays (``ParityGame._from_csr``) and
-keep any duplicate edge of their parent.  Nothing here shares code with
-the oracles' per-vertex attractor and SCC search.
+Derived games are built from the parent's arrays (``ParityGame._from_csr``),
+with no tuple view read, and keep any duplicate edge of the parent.  Nothing
+here shares code with the oracles' per-vertex attractor and SCC search.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .game import ParityGame, Solution, _positions, _priority_array
+from .game import ParityGame, Solution, _positions
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,14 +148,13 @@ def _extract(
     child_index[to_parent] = np.arange(len(to_parent), dtype=np.int32)
     cut = np.zeros(len(to_parent) + 1, dtype=np.int64)
     np.cumsum(np.bincount(row[keep], minlength=len(to_parent)), out=cut[1:])
-    vs = to_parent.tolist()
     child = ParityGame._from_csr(
-        _priority_array(list(map(game.priority.__getitem__, vs))),
+        game._priority[to_parent],
         game._owner_bits[to_parent],
         cut,
         child_index[tg[keep]],
-        list(map(game.original_id.__getitem__, vs)),
-        list(map(game.label.__getitem__, vs)),
+        game._ids[to_parent],
+        list(map(game.label.__getitem__, to_parent.tolist())),
     )
     return child, to_parent
 

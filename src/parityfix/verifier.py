@@ -6,9 +6,9 @@ strategy edge staying inside it, and in the graph restricted to strategy
 edges (claimant) plus all region-internal edges (opponent) every cycle's
 maximum priority has the claimant's parity.
 
-The checks read the game's CSR arrays and the solution's own arrays,
-``win`` and ``choice`` (each vertex's winner and strategy target, -1 for
-none); they build nothing from the solution's tuple views.  The local
+The checks read the game's arrays (its CSR, owner bits and priorities) and
+the solution's, ``win`` and ``choice`` (each vertex's winner and strategy
+target, -1 for none); they build no tuple view of either.  The local
 checks (escape edges, missing strategies, strategies that are not a
 region-internal edge) are whole-array comparisons over the edges.  A
 strategy self-loop is its vertex's only checked edge, so it is a cyclic
@@ -227,13 +227,12 @@ def _local_checks(
             v = int(src[e])
             fault = EscapeEdge(v, int(targets[e]))
         found[int(win[v])].append(fault)
-    priority = game.priority
     looped = np.zeros(n, dtype=bool)
     looped[src[loops]] = True  # once per vertex, though a duplicate edge repeats a loop
-    for v in np.flatnonzero(looped).tolist():
+    for v, p in zip(np.flatnonzero(looped).tolist(), game._priority[looped].tolist()):
         player = int(win[v])
-        if priority[v] & 1 != player:
-            found[player].append(LosingCycleWitness((v,), priority[v]))
+        if p & 1 != player:
+            found[player].append(LosingCycleWitness((v,), p))
     return found, src[keep], targets[keep]
 
 
@@ -296,21 +295,18 @@ def _survivor_graph(
 def verify(game: ParityGame, sol: Solution) -> VerificationReport:
     """Check a claimed solution; all problems come back as report entries.
 
-    A game with a sink or a dangling edge raises the ``ValidationError``
-    every solver raises on it.  Faults come by player, Even first: the
-    local faults by vertex and then by stored edge order, then the losing
-    cycles.
+    Faults come by player, Even first: the local faults by vertex and then
+    by stored edge order, then the losing cycles.
     """
     if sol.n != game.n:
         raise ValueError("solution does not match the game")
-    game._csr  # raises on a sink or a dangling edge, as every solver does
     if not game.n:
         return VerificationReport(True, ())
     found, sources, targets = _local_checks(game, sol)
     kept, adj = _survivor_graph(game.n, sources, targets)
     del sources, targets
     vertices = kept.tolist()
-    priority = list(map(game.priority.__getitem__, vertices))
+    priority = game._priority[kept].tolist()
     side = sol.win[kept]
     k = len(vertices)
     index = [-1] * k

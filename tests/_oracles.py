@@ -8,7 +8,9 @@ plain BFS.  The DFI references import nothing from ``parityfix.solver``:
 vertex of a level, the freezing one with event callbacks for the tests
 that check the freeze discipline.  ``reference_verify`` is the
 per-vertex solution verifier that walks the successor and winner tuples
-and runs Tarjan over every claimed vertex.
+and runs Tarjan over every claimed vertex.  ``reference_first_error`` is
+the per-edge walk that ``validate`` was before the constructor checked its
+input.
 ``reference_winner_controlled_cycles`` is the cycle reduction by SCC
 decomposition, on ``sccs`` (iterative Tarjan, here since no production
 module reads it) and ``pf.attract``.  ``winner_of`` and
@@ -33,6 +35,26 @@ from parityfix import (
     VerificationReport,
 )
 from parityfix.verifier import Violation
+
+
+def reference_first_error(n: int, successors) -> pf.ValidationError | None:
+    """The error that the constructor and then ``validate`` raise for the
+    successor lists of ``n`` vertices, by a per-edge walk: the first sink or
+    target that is not an integer in ``0..n-1``, else the first target that
+    repeats one of its row; ``None`` when there is none."""
+    for v, succ in enumerate(successors):
+        if not succ:
+            return pf.SinkVertexError(v)
+        for u in succ:
+            if not (isinstance(u, int) and 0 <= u < n):
+                return pf.DanglingEdgeError(v, u)
+    for v, succ in enumerate(successors):
+        seen: set[int] = set()
+        for u in succ:
+            if u in seen:
+                return pf.DuplicateEdgeError(v, u)
+            seen.add(u)
+    return None
 
 
 def naive_attract(game: pf.ParityGame, alive, player: pf.Player, seed) -> frozenset[int]:
@@ -519,14 +541,9 @@ def _witness_cycle(comp: list[int], adj: dict[int, list[int]], anchor: int) -> t
 
 
 def reference_verify(game: ParityGame, sol: Solution) -> VerificationReport:
-    """Check a claimed solution; all problems come back as report entries.
-
-    A game with a sink or a dangling edge raises the ``ValidationError``
-    every solver raises on it.
-    """
+    """Check a claimed solution; all problems come back as report entries."""
     if sol.n != game.n:
         raise ValueError("solution does not match the game")
-    game._csr  # raises on a sink or a dangling edge, as every solver does
     violations: list[Violation] = []
     index = [-1] * game.n
     lowlink = [0] * game.n

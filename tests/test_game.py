@@ -1,4 +1,4 @@
-import warnings
+import re
 from itertools import chain
 
 import numpy as np
@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import parityfix as pf
 
+from _oracles import reference_first_error
 from conftest import seeded_game
 
 
@@ -33,6 +34,38 @@ class TestConstructor:
     @pytest.mark.parametrize("owner", [pf.Player.ODD, 1, True])
     def test_owner_accepts_players_and_ints(self, owner):
         assert pf.ParityGame([0], [owner], [[0]]).owner[0] is pf.Player.ODD
+
+    @pytest.mark.parametrize("priority", [1.5, -1, "3", None, 2**64 + 0.5])
+    def test_priority_must_be_a_nonnegative_integer(self, priority):
+        # 1.5 and "3" were read as 1 and 3
+        message = rf"^priority of vertex 1 is {re.escape(repr(priority))}, not a nonnegative"
+        with pytest.raises(ValueError, match=message):
+            pf.ParityGame([0, priority], [0, 0], [[1], [0]])
+
+    @pytest.mark.parametrize("vertex_id", [-3, 7.5, "7"])
+    def test_original_id_must_be_a_nonnegative_integer(self, vertex_id):
+        # -3 was written as a record that no reader accepts
+        message = rf"^original_id of vertex 0 is {re.escape(repr(vertex_id))}, not a nonnegative"
+        with pytest.raises(ValueError, match=message):
+            pf.ParityGame([0, 0], [0, 0], [[1], [0]], original_id=[vertex_id, 4])
+
+    def test_original_ids_must_be_distinct(self):
+        # a repeated id was written as two records of one vertex id
+        with pytest.raises(ValueError, match="^original_id of vertex 2 is 7, the id of vertex 0$"):
+            pf.ParityGame([0, 0, 0], [0, 0, 0], [[1], [2], [0]], original_id=[7, 2**70, 7])
+
+    @pytest.mark.parametrize("target", [0.9, "0", None, 1.0])
+    def test_target_must_be_an_integer(self, target):
+        # 0.9 and "0" were read as vertex 0
+        message = rf"^edge 1 -> {re.escape(repr(target))} leaves the vertex range$"
+        with pytest.raises(pf.DanglingEdgeError, match=message):
+            pf.ParityGame([0, 0], [0, 0], [[1], [0, target]])
+
+    def test_wide_values_are_python_ints_in_object_arrays(self):
+        game = pf.ParityGame([2**70, 1], [0, 1], [[1], [0]], original_id=[2**64, 3])
+        assert game._priority.dtype == object and game._ids.dtype == object
+        assert game.priority == (2**70, 1) and game.original_id == (2**64, 3)
+        assert pf.parse_pgsolver(pf.write_pgsolver(game)).original_id == (3, 2**64)
 
 
 class TestSolution:
@@ -97,16 +130,15 @@ class TestValidate:
     def test_g1_validates(self, g1):
         pf.validate(g1)
 
+    # the constructor refuses a sink or a dangling edge, so validate never meets one
     def test_sink_vertex(self):
-        game = pf.ParityGame([0], [0], [[]])
         with pytest.raises(pf.SinkVertexError) as err:
-            pf.validate(game)
+            pf.ParityGame([0], [0], [[]])
         assert err.value.vertex == 0
 
     def test_dangling_edge(self):
-        game = pf.ParityGame([0, 1], [0, 1], [[1], [5]])
         with pytest.raises(pf.DanglingEdgeError) as err:
-            pf.validate(game)
+            pf.ParityGame([0, 1], [0, 1], [[1], [5]])
         assert (err.value.vertex, err.value.target) == (1, 5)
 
     def test_duplicate_edge(self):
@@ -114,6 +146,26 @@ class TestValidate:
         with pytest.raises(pf.DuplicateEdgeError) as err:
             pf.validate(game)
         assert (err.value.vertex, err.value.target) == (0, 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.lists(st.integers(-1, 5) | st.sampled_from([2**40, 2**70, 0.5, "1"]), max_size=4),
+        min_size=1,
+        max_size=6,
+    )
+)
+def test_first_error_matches_per_edge_walk(successors):
+    # the constructor's sinks and dangling edges, then validate's duplicates
+    n = len(successors)
+    want = reference_first_error(n, successors)
+    try:
+        pf.validate(pf.ParityGame([0] * n, [0] * n, successors))
+        got = None
+    except pf.ValidationError as exc:
+        got = exc
+    assert (type(got), str(got)) == (type(want), str(want))
 
 
 class TestSortByPriority:
@@ -265,32 +317,48 @@ class TestArrays:
         assert pf.ParityGame([0] * n, [0] * n, successors)._csr[1].tolist() == list(chain(*successors))
         successors[19_000] = [0, target]
         with pytest.raises(pf.DanglingEdgeError) as info:
-            pf.ParityGame([0] * n, [0] * n, successors)._csr
+            pf.ParityGame([0] * n, [0] * n, successors)
         assert (info.value.vertex, info.value.target) == (19_000, target)
-
-    def test_wrapped_target_warning_raises(self, monkeypatch):
-        # numpy 1.x converts a target beyond 32 bits with a DeprecationWarning
-        # and wraps it, here onto vertex 0
-        fromiter = np.fromiter
-
-        def wrapping_fromiter(iterable, dtype, count=-1):
-            if np.dtype(dtype) != np.int32:
-                return fromiter(iterable, dtype, count=count)
-            values = list(iterable)
-            if any(not -(2**31) <= v < 2**31 for v in values):
-                warnings.warn("out-of-bound Python integer", DeprecationWarning)
-            return np.array([v & 0xFFFFFFFF for v in values], dtype=np.uint32).view(np.int32)
-
-        monkeypatch.setattr(np, "fromiter", wrapping_fromiter)
-        game = pf.ParityGame([0, 1], [0, 1], [[1], [0, 2**32]])
-        with pytest.raises(pf.DanglingEdgeError) as info:
-            game._csr
-        assert (info.value.vertex, info.value.target) == (1, 2**32)
 
     def test_empty_game_arrays(self):
         game = pf.ParityGame([], [], [])
         assert game.predecessors == ()
         assert game._csr[0].tolist() == [0]
+
+
+def _stored(game: pf.ParityGame) -> tuple[np.ndarray, ...]:
+    return (*game._csr, game._owner_bits, game._parity_bits, game._priority, game._ids)
+
+
+class TestStorage:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10**9), st.booleans())
+    def test_constructor_rebuilds_derived_games(self, seed, wide):
+        # the reader, the sort and the reductions store what the constructor
+        # stores for the same game
+        game = seeded_game(seed, max_n=120, max_d=8, self_loop=0.3)
+        if wide:  # priorities and ids beyond int64, and labels
+            game = pf.ParityGame(
+                [p * 2**62 + (p & 1) for p in game.priority],
+                game.owner,
+                game.successors,
+                original_id=[2**64 - 5 * v for v in range(game.n)],
+                label=[f"v{v}" if v % 3 else None for v in range(game.n)],
+            )
+        parsed = pf.parse_pgsolver(pf.write_pgsolver(game))
+        _, loopless = pf.eliminate_self_loops(parsed)
+        _, residual = pf.winner_controlled_cycles(loopless)
+        sorted_games = [pf.sort_by_priority(g)[0] for g in (parsed, residual)]
+        for g in (parsed, loopless, residual, *sorted_games):
+            rebuilt = pf.ParityGame(g.priority, g.owner, g.successors, g.original_id, g.label)
+            for a, b in zip(_stored(g), _stored(rebuilt)):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+            assert g.label == rebuilt.label
+
+    def test_arrays_are_read_only(self, g1):
+        for a in _stored(g1):
+            with pytest.raises(ValueError):
+                a[0] = 1
 
 
 _SOLVERS_WITH_TIMEOUT = {
@@ -316,14 +384,23 @@ _SOLVERS_ON_GAMES = {
     "preprocess": pf.apply_preprocessing,
 }
 
-# successor lists of three vertices with priorities 0, 1, 2
+# successor lists of three vertices with priorities 0, 1, 2, and the error
+# that ``validate`` gave for them before the constructor checked its input
 _MALFORMED = {
-    "sink": [[1], [], [0]],
-    "target-minus-1": [[1], [-1], [0]],
-    "target-n": [[1], [2, 3], [0]],
-    "target-2**40": [[1], [2**40], [0]],
-    "target-2**70": [[1], [0, 2**70], [0]],
-    "sink-after-dangling": [[3], [0], []],
+    "sink": ([[1], [], [0]], pf.SinkVertexError, "vertex 1 has no successors"),
+    "target-minus-1": ([[1], [-1], [0]], pf.DanglingEdgeError, "edge 1 -> -1 leaves the vertex range"),
+    "target-n": ([[1], [2, 3], [0]], pf.DanglingEdgeError, "edge 1 -> 3 leaves the vertex range"),
+    "target-2**40": (
+        [[1], [2**40], [0]],
+        pf.DanglingEdgeError,
+        f"edge 1 -> {2**40} leaves the vertex range",
+    ),
+    "target-2**70": (
+        [[1], [0, 2**70], [0]],
+        pf.DanglingEdgeError,
+        f"edge 1 -> {2**70} leaves the vertex range",
+    ),
+    "sink-after-dangling": ([[3], [0], []], pf.DanglingEdgeError, "edge 0 -> 3 leaves the vertex range"),
 }
 
 
@@ -331,12 +408,10 @@ _MALFORMED = {
 @pytest.mark.parametrize("case", sorted(_MALFORMED))
 @pytest.mark.parametrize("solver", sorted(_SOLVERS_ON_GAMES))
 def test_malformed_game_raises_validation_error(solver, case, priority):
-    # every solver raises the error ``validate`` meets first, never a numpy
-    # error or a result
-    game = pf.ParityGame(priority, [0, 1, 0], _MALFORMED[case])
-    with pytest.raises(pf.ValidationError) as expected:
-        pf.validate(game)
+    # a solver is never handed such a game: the constructor raises the error
+    # ``validate`` met first, never a numpy error or a game
+    successors, error, message = _MALFORMED[case]
     with pytest.raises(pf.ValidationError) as got:
-        _SOLVERS_ON_GAMES[solver](game)
-    assert type(got.value) is type(expected.value)
-    assert str(got.value) == str(expected.value)
+        _SOLVERS_ON_GAMES[solver](pf.ParityGame(priority, [0, 1, 0], successors))
+    assert type(got.value) is error
+    assert str(got.value) == message

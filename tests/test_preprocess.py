@@ -259,14 +259,26 @@ def test_cycles_match_scc_reference(seed):
     _check_against_reference_cycles(seeded_game(seed, self_loop=0.4))
 
 
+_VIEWS = {"priority", "owner", "original_id", "successors", "predecessors"}
+
+
 def test_derived_games_build_no_successor_tuples():
-    """The reader, both reductions, the sort and the verifier read CSR arrays only."""
+    """From parse to write, the pipeline reads the arrays of the parsed game
+    and of both reductions' games, and builds none of their tuple views; only
+    the sorted residual holds the successor and predecessor tuples that the
+    kernel reads."""
     source = pf.random_game(pf.GenParams(n=500, max_priority=6, self_loop_probability=0.05, seed=1))
     game = pf.parse_pgsolver(pf.write_pgsolver(source))
-    _, loopless = pf.eliminate_self_loops(game)
-    _, residual = pf.winner_controlled_cycles(loopless)
-    sorted_residual, _ = pf.sort_by_priority(residual)
-    assert pf.verify(game, pf.solve(source)).ok
+    loop_partial, loopless = pf.eliminate_self_loops(game)
+    cycle_partial, residual = pf.winner_controlled_cycles(loopless)
+    assert not _VIEWS & vars(pf.sort_by_priority(residual)[0]).keys()
+    outcome = pf.solve_detailed(residual)
+    solution = pf.compose_solution([loop_partial, cycle_partial], outcome.solution)
+    assert pf.verify(game, solution).ok
+    text = pf.write_solution(game, solution)
     assert 0 < residual.n < loopless.n < game.n
-    for derived in (game, loopless, residual, sorted_residual):
-        assert "successors" not in vars(derived)
+    assert outcome.sorted_game is not residual
+    for derived in (game, loopless, residual):
+        assert not _VIEWS & vars(derived).keys()
+    assert _VIEWS & vars(outcome.sorted_game).keys() <= {"successors", "predecessors"}
+    assert text == pf.write_solution(source, solution)
