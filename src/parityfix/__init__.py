@@ -6,16 +6,7 @@ solvers, a solution verifier, preprocessing reductions, a seeded game
 generator, and a CLI (``parityfix``).
 """
 
-from .fixpoint import (
-    FixpointBudgetError,
-    FixpointTrace,
-    bfl_win0,
-    box,
-    diamond,
-    force,
-    onestep_sets,
-    winner_partition,
-)
+from .fixpoint import FixpointBudgetError, FixpointTrace, bfl_win0
 from .formats import (
     DuplicateVertexIdError,
     ParseError,
@@ -33,7 +24,6 @@ from .game import (
     SinkVertexError,
     Solution,
     SolveTimeoutError,
-    SortPermutation,
     ValidationError,
     game_stats,
     sort_by_priority,
@@ -72,7 +62,6 @@ __all__ = [
     "ParityGame",
     "Player",
     "Solution",
-    "SortPermutation",
     "GameStats",
     "ValidationError",
     "SinkVertexError",
@@ -99,11 +88,6 @@ __all__ = [
     "RecursionDepthError",
     "FixpointBudgetError",
     "FixpointTrace",
-    "diamond",
-    "box",
-    "force",
-    "winner_partition",
-    "onestep_sets",
     "bfl_win0",
     "PartialSolution",
     "eliminate_self_loops",

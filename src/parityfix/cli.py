@@ -46,8 +46,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read_game(path: str) -> ParityGame:
-    text = Path(path).read_text()
-    return parse_pgsolver(text)
+    # the formats are UTF-8 in every locale: read bytes, which the parser decodes
+    return parse_pgsolver(Path(path).read_bytes())
 
 
 def _run_solver(
@@ -134,7 +134,7 @@ def _print_stats(stats: SolverStats, *, timed_out: bool) -> None:
 def _cmd_verify(args) -> int:
     try:
         game = _read_game(args.game)
-        solution = parse_solution(Path(args.solution).read_text(), game)
+        solution = parse_solution(Path(args.solution).read_bytes(), game)
     except (OSError, UnicodeDecodeError, ParseError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -202,7 +202,7 @@ def _bench_row(path: Path, solver: str, preprocess: bool, timeout_s: float, reps
     name = path.name
     pre = "1" if preprocess else "0"
     try:
-        game = parse_pgsolver(path.read_text())
+        game = parse_pgsolver(path.read_bytes())
     except Exception:
         return [name, solver, pre, "", "error", "", "", "", "", "", "", ""]
     st = game_stats(game)

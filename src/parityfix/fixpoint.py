@@ -1,12 +1,11 @@
-"""Set-level game semantics and the naive nested fixpoint solver.
+"""The naive nested fixpoint solver (BFL), an oracle for the main solver.
 
-Everything here works on plain frozensets of vertex indices, with no
-shared machinery with the main solver, so it can serve as an independent
-cross-check: modal operators, one-step forcing, one-step winner estimates,
-and a literal evaluation of the nested fixpoint whose value is player
-Even's winning region.  The nested evaluation recomputes inner fixpoints
-from scratch on every outer iteration, so it is exponential in the number
-of priority levels and only meant for small games.
+``bfl_win0`` evaluates, literally, the nested fixpoint whose value is
+player Even's winning region.  It works on plain frozensets of vertex
+indices and shares no machinery with the main solver, so it serves as an
+independent cross-check.  It recomputes inner fixpoints from scratch on
+every outer iteration, so it is exponential in the number of priority
+levels and only meant for small games.
 """
 
 from __future__ import annotations
@@ -30,53 +29,6 @@ class FixpointBudgetError(Exception):
 
 def universe(game: ParityGame) -> VertexSet:
     return frozenset(range(game.n))
-
-
-def diamond(s: VertexSet, game: ParityGame) -> VertexSet:
-    """Vertices with at least one successor in ``s``."""
-    return frozenset(v for v in range(game.n) if any(u in s for u in game.successors[v]))
-
-
-def box(s: VertexSet, game: ParityGame) -> VertexSet:
-    """Vertices all of whose successors are in ``s``."""
-    return frozenset(v for v in range(game.n) if all(u in s for u in game.successors[v]))
-
-
-def _winner_bit(v: int, z: VertexSet, game: ParityGame) -> int:
-    par = game.priority[v] & 1
-    return (1 - par) if v in z else par
-
-
-def winner_partition(z: VertexSet, game: ParityGame) -> tuple[VertexSet, VertexSet]:
-    """(Even-estimated, Odd-estimated) vertex sets for flag set ``z``."""
-    ev = frozenset(v for v in range(game.n) if _winner_bit(v, z, game) == 0)
-    return ev, universe(game) - ev
-
-
-def force(player: Player, x: VertexSet, game: ParityGame) -> VertexSet:
-    """Vertices from which ``player`` can enter ``x`` in one step."""
-    mine = int(player)
-    out = set()
-    for v in range(game.n):
-        if int(game.owner[v]) == mine:
-            if any(u in x for u in game.successors[v]):
-                out.add(v)
-        elif all(u in x for u in game.successors[v]):
-            out.add(v)
-    return frozenset(out)
-
-
-def onestep_sets(z: VertexSet, game: ParityGame) -> tuple[VertexSet, VertexSet, VertexSet]:
-    """(one-step Even wins, one-step Odd wins, one-step distraction estimate)."""
-    ev, od = winner_partition(z, game)
-    v_even_owned = frozenset(v for v in range(game.n) if game.owner[v] is Player.EVEN)
-    v_odd_owned = universe(game) - v_even_owned
-    one0 = (v_even_owned & diamond(ev, game)) | (v_odd_owned & box(ev, game))
-    one1 = (v_even_owned & box(od, game)) | (v_odd_owned & diamond(od, game))
-    v_even_pr = frozenset(v for v in range(game.n) if game.priority[v] & 1 == 0)
-    v_odd_pr = universe(game) - v_even_pr
-    distraction = (v_even_pr & one1) | (v_odd_pr & one0)
-    return one0, one1, distraction
 
 
 @dataclass

@@ -33,14 +33,11 @@ message, comes from the line scanner.  The writers read the game's arrays.
 
 from __future__ import annotations
 
-import logging
 import re
 
 import numpy as np
 
 from .game import DanglingEdgeError, DuplicateEdgeError, ParityGame, Player, Solution
-
-log = logging.getLogger(__name__)
 
 _INT = re.compile(r"\d+")
 _LABEL = re.compile(r'"([^"]*)"')
@@ -165,17 +162,14 @@ def _lines(text: str | bytes) -> list[str]:
     return [line[:-1] if line.endswith("\r") else line for line in text.split("\n")]
 
 
-def parse_pgsolver(text: str | bytes, *, permissive: bool = False) -> ParityGame:
-    """Parse a game file into a game without sinks, dangling or duplicate edges.
-
-    ``permissive`` downgrades duplicate successor entries to a dedup with a
-    logged warning instead of an error.
-    """
+def parse_pgsolver(text: str | bytes) -> ParityGame:
+    """Parse a game file, as text or as UTF-8 bytes, into a game without
+    sinks, dangling or duplicate edges."""
     if isinstance(text, bytes):
         text = text.decode("utf-8")
     game = _read_arrays(text)
     if game is None:
-        game = _scan_pgsolver(text, permissive=permissive)
+        game = _scan_pgsolver(text)
     return game
 
 
@@ -325,7 +319,7 @@ def _read_block(block: bytes) -> list[np.ndarray] | None:
     ]
 
 
-def _scan_pgsolver(text: str, *, permissive: bool = False) -> ParityGame:
+def _scan_pgsolver(text: str) -> ParityGame:
     """Parse line by line with exact error positions; a row with an undeclared
     or repeated target never reaches the constructor."""
     records: list[tuple[int, int, int, list[int], str | None]] = []
@@ -371,9 +365,6 @@ def _scan_pgsolver(text: str, *, permissive: bool = False) -> ParityGame:
                 raise DanglingEdgeError(vid, uid, f"edge {vid} -> {uid} targets an undeclared vertex")
             u = index_of[uid]
             if u in seen:
-                if permissive:
-                    log.warning("dropping duplicate edge %d -> %d", vid, uid)
-                    continue
                 raise DuplicateEdgeError(vid, uid)
             seen.add(u)
             row.append(u)

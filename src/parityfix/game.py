@@ -142,8 +142,9 @@ class ParityGame:
     nonnegative integer or an id that repeats; it raises the
     ``SinkVertexError`` or ``DanglingEdgeError`` (a target that is not an
     integer in ``0..n-1``) of the first such vertex.  So only duplicate
-    edges are left for ``validate``.  The reader, the sort and the
-    reductions build games from checked arrays (``_from_csr``).
+    edges are left for ``validate``.  The reader builds games from checked
+    arrays (``_from_csr``), and the sort and the reductions through
+    ``_subgame``.
     """
 
     def __init__(
@@ -302,23 +303,6 @@ class ParityGame:
         return f"ParityGame(n={self.n}, edges={self.edge_count}, d={self.max_priority})"
 
 
-@dataclass(frozen=True)
-class SortPermutation:
-    """Bijection between external vertex order and priority-sorted order."""
-
-    forward: tuple[int, ...]  # external index -> internal index
-    backward: tuple[int, ...]  # internal index -> external index
-
-    @classmethod
-    def identity(cls, n: int) -> "SortPermutation":
-        ident = tuple(range(n))
-        return cls(ident, ident)
-
-    @property
-    def is_identity(self) -> bool:
-        return all(i == j for i, j in enumerate(self.forward))
-
-
 def _vertex_array(
     values: Sequence[int] | np.ndarray, what: str, low: int, high: int, dtype: type = np.int64
 ) -> np.ndarray:
@@ -421,31 +405,50 @@ def validate(game: ParityGame) -> None:
         raise DuplicateEdgeError(v, int(targets[e]))
 
 
-def sort_by_priority(game: ParityGame) -> tuple[ParityGame, SortPermutation]:
-    """Reorder vertices so priorities are nondecreasing (stable).
+def _subgame(game: ParityGame, rows: np.ndarray, keep: np.ndarray | None = None) -> ParityGame:
+    """The game on the parent vertices ``rows``, in that order.
 
-    Returns the reordered game together with the permutation that connects
-    the two vertex orders.  Already-sorted games are returned as-is with an
-    identity permutation.
+    Each successor list keeps, in stored order, its edges into ``rows`` that
+    ``keep`` (a mask over the parent's edges, when given) marks, renumbered
+    to the targets' places in ``rows``; duplicate edges are kept.  The
+    caller makes sure that every row keeps an edge.  Every derived game (the
+    sort and both reductions) is built here.
     """
-    n = game.n
-    if game.is_priority_sorted:
-        return game, SortPermutation.identity(n)
     indptr, targets, _ = game._csr
-    backward = np.argsort(game._priority, kind="stable")
-    forward = np.empty(n, dtype=np.int32)
-    forward[backward] = np.arange(n, dtype=np.int32)
-    pos, sorted_indptr = _positions(indptr, backward)
-    order = backward.tolist()
-    sorted_game = ParityGame._from_csr(
-        game._priority[backward],
-        game._owner_bits[backward],
-        sorted_indptr,
-        forward[targets[pos]],
-        game._ids[backward],
-        list(map(game.label.__getitem__, order)),
+    child_index = np.full(game.n, -1, dtype=np.int32)
+    child_index[rows] = np.arange(len(rows), dtype=np.int32)
+    pos, bounds = _positions(indptr, rows)
+    tg = child_index[targets[pos]]
+    kept = tg >= 0
+    if keep is not None:
+        kept &= keep[pos]
+    cut = np.zeros(len(pos) + 1, dtype=np.int64)
+    np.cumsum(kept, out=cut[1:])
+    return ParityGame._from_csr(
+        game._priority[rows],
+        game._owner_bits[rows],
+        cut[bounds],
+        tg[kept],
+        game._ids[rows],
+        list(map(game.label.__getitem__, rows.tolist())),
     )
-    return sorted_game, SortPermutation(tuple(forward.tolist()), tuple(order))
+
+
+def sort_by_priority(game: ParityGame) -> tuple[ParityGame, np.ndarray]:
+    """Reorder the vertices so that priorities are nondecreasing (stable).
+
+    Returns the sorted game and its ``to_parent`` map, a read-only int64
+    array whose entry ``i`` is the input index of sorted vertex ``i``.  An
+    already-sorted game is returned as it is, with ``np.arange(n)``.
+    """
+    if game.is_priority_sorted:
+        to_parent = np.arange(game.n, dtype=np.int64)
+        sorted_game = game
+    else:
+        to_parent = np.argsort(game._priority, kind="stable").astype(np.int64, copy=False)
+        sorted_game = _subgame(game, to_parent)
+    to_parent.flags.writeable = False
+    return sorted_game, to_parent
 
 
 def game_stats(game: ParityGame) -> GameStats:

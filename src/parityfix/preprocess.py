@@ -25,8 +25,8 @@ own vertices of their own parity, the vertices that cannot stay forever
 are the ones from which every path reaches a vertex with no successor
 inside; the same count-down attractor, run for the other player from
 those vertices, finds them.  The rest, and their attractor, are won.
-Derived games are built from the parent's arrays (``ParityGame._from_csr``),
-with no tuple view read, and keep any duplicate edge of the parent.  Nothing
+Residuals are built from the parent's arrays by ``game._subgame``, with no
+tuple view read, and keep any duplicate edge of the parent.  Nothing
 here shares code with the oracles' per-vertex attractor and SCC search.
 """
 
@@ -37,7 +37,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .game import ParityGame, Solution, _positions
+from .game import ParityGame, Solution, _positions, _subgame
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,34 +129,15 @@ def _attract(
 
 
 def _extract(
-    game: ParityGame, alive: np.ndarray, drop_loops: np.ndarray | tuple[()] = ()
+    game: ParityGame, alive: np.ndarray, keep: np.ndarray | None = None
 ) -> tuple[ParityGame, np.ndarray]:
-    """The subgame on ``alive``, without the self-loops of ``drop_loops``."""
+    """The residual on ``alive`` and its ``to_parent`` map (``_subgame``),
+    keeping only the edges that ``keep``, a mask over the parent's edges,
+    marks when it is given; the game itself when nothing goes."""
     to_parent = np.flatnonzero(alive)
-    if len(to_parent) == game.n and not len(drop_loops):
+    if len(to_parent) == game.n and keep is None:
         return game, to_parent
-    indptr, targets, _ = game._csr
-    pos, bounds = _positions(indptr, to_parent)
-    tg = targets[pos]
-    row = np.repeat(np.arange(len(to_parent)), np.diff(bounds))
-    keep = alive[tg]
-    if len(drop_loops):
-        dropped = np.zeros(game.n, dtype=bool)
-        dropped[drop_loops] = True
-        keep &= ~((tg == to_parent[row]) & dropped[tg])
-    child_index = np.full(game.n, -1, dtype=np.int32)
-    child_index[to_parent] = np.arange(len(to_parent), dtype=np.int32)
-    cut = np.zeros(len(to_parent) + 1, dtype=np.int64)
-    np.cumsum(np.bincount(row[keep], minlength=len(to_parent)), out=cut[1:])
-    child = ParityGame._from_csr(
-        game._priority[to_parent],
-        game._owner_bits[to_parent],
-        cut,
-        child_index[tg[keep]],
-        game._ids[to_parent],
-        list(map(game.label.__getitem__, to_parent.tolist())),
-    )
-    return child, to_parent
+    return _subgame(game, to_parent, keep), to_parent
 
 
 def _undecided(game: ParityGame) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -188,7 +169,8 @@ def eliminate_self_loops(game: ParityGame) -> tuple[PartialSolution, ParityGame]
     """
     indptr, targets, _ = game._csr
     sources = np.repeat(np.arange(game.n), np.diff(indptr))
-    loops = sources[targets == sources]  # a doubled loop comes twice
+    looped = targets == sources
+    loops = sources[looped]  # a doubled loop comes twice
     par = game._parity_bits
     alive, degree, win, choice = _undecided(game)
     np.subtract.at(degree, loops[par[loops] != game._owner_bits[loops]], 1)
@@ -202,7 +184,12 @@ def eliminate_self_loops(game: ParityGame) -> tuple[PartialSolution, ParityGame]
         if len(mine):
             win[_attract(game, alive, degree, beta, mine, choice)] = beta
     hostile = hostile[alive[hostile]]
-    residual, to_parent = _extract(game, alive, hostile)
+    keep = None
+    if len(hostile):  # the hostile loops of the live vertices go
+        dropped = np.zeros(game.n, dtype=bool)
+        dropped[hostile] = True
+        keep = ~(looped & dropped[sources])
+    residual, to_parent = _extract(game, alive, keep)
     return PartialSolution(win, choice, to_parent), residual
 
 

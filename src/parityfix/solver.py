@@ -71,7 +71,6 @@ from .game import (
     ParityGame,
     Solution,
     SolveTimeoutError,
-    SortPermutation,
     _deadline,
     _positions,
     sort_by_priority,
@@ -110,16 +109,19 @@ class SolverStats:
     state_bytes: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DfiOutcome:
     """Solution plus run metadata, all in the caller's vertex order except
-    sorted_game/permutation which expose the internal order for inspection."""
+    ``sorted_game``, the game in the solver's priority-sorted order, and
+    ``permutation``, its ``to_parent`` map of ``sort_by_priority``: a
+    read-only int64 array whose entry ``i`` is the caller's index of sorted
+    vertex ``i``."""
 
     solution: Solution
     stats: SolverStats
     distractions: frozenset[int]
     sorted_game: ParityGame
-    permutation: SortPermutation
+    permutation: np.ndarray
 
 
 def _check_deadline(deadline: float | None) -> None:
@@ -375,7 +377,7 @@ def solve_detailed(game: ParityGame, options: SolverOptions | None = None) -> Df
     the run's stats so far as ``exc.stats``.
     """
     opts = options or SolverOptions()
-    sorted_game, perm = sort_by_priority(game)
+    sorted_game, to_parent = sort_by_priority(game)
     stats = SolverStats()
     t0 = time.perf_counter()
     deadline = _deadline(opts.timeout_s, t0)
@@ -390,18 +392,17 @@ def solve_detailed(game: ParityGame, options: SolverOptions | None = None) -> Df
     stats.wall_time_s = time.perf_counter() - t0
 
     # the results in sorted order, scattered into the input's order
-    backward = np.array(perm.backward, dtype=np.int64)
     zbits = np.frombuffer(z, dtype=np.uint8)
     won = sorted_game._parity_bits ^ zbits
     win = np.empty(len(won), dtype=np.uint8)
-    win[backward] = won
+    win[to_parent] = won
     choice = np.full(len(won), -1, dtype=np.int64)
     if freeze:
         strat = np.frombuffer(st, dtype=np.int32)
         chosen = np.flatnonzero((sorted_game._owner_bits == won) & (strat >= 0))
-        choice[backward[chosen]] = backward[strat[chosen]]
-    distractions = frozenset(backward[zbits != 0].tolist())
-    return DfiOutcome(Solution(win, choice), stats, distractions, sorted_game, perm)
+        choice[to_parent[chosen]] = to_parent[strat[chosen]]
+    distractions = frozenset(to_parent[zbits != 0].tolist())
+    return DfiOutcome(Solution(win, choice), stats, distractions, sorted_game, to_parent)
 
 
 def solve(game: ParityGame, options: SolverOptions | None = None) -> Solution:

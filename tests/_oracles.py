@@ -370,14 +370,22 @@ def freezing_loop(game, hooks, stats):
     return z, st
 
 
+def forward_map(to_parent) -> list[int]:
+    """The inverse of a ``to_parent`` map: each input vertex's sorted index."""
+    forward = [0] * len(to_parent)
+    for internal, external in enumerate(to_parent.tolist()):
+        forward[external] = internal
+    return forward
+
+
 def reference_freezing(game: pf.ParityGame, hooks: FreezingEvents | None = None) -> LoopOutcome:
     """``freezing_loop`` on ``game``, reported in the input's vertex order."""
-    sorted_game, perm = pf.sort_by_priority(game)
+    sorted_game, to_parent = pf.sort_by_priority(game)
     stats = LoopStats()
     z, st = freezing_loop(sorted_game, hooks, stats)
     par = [p & 1 for p in sorted_game.priority]
     own = list(map(int, sorted_game.owner))
-    fwd, bwd = perm.forward, perm.backward
+    fwd, bwd = forward_map(to_parent), to_parent.tolist()
     winner, strategy = [], []
     for v in range(game.n):
         s = fwd[v]
@@ -437,11 +445,11 @@ def basic_loop(game, stats):
 def reference_basic(game: pf.ParityGame) -> LoopOutcome:
     """``basic_loop`` on ``game``, reported in the input's vertex order;
     every strategy is ``None``."""
-    sorted_game, perm = pf.sort_by_priority(game)
+    sorted_game, to_parent = pf.sort_by_priority(game)
     stats = LoopStats()
     z = basic_loop(sorted_game, stats)
     par = [p & 1 for p in sorted_game.priority]
-    fwd, bwd = perm.forward, perm.backward
+    fwd, bwd = forward_map(to_parent), to_parent.tolist()
     winner = tuple(pf.Player(par[fwd[v]] ^ z[fwd[v]]) for v in range(game.n))
     distractions = frozenset(bwd[s] for s in range(game.n) if z[s])
     return LoopOutcome(pf.Solution(winner, (None,) * game.n), stats, distractions)

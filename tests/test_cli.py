@@ -1,5 +1,8 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -111,6 +114,30 @@ class TestSolveCommand:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert "--in-place" in captured.err
+
+
+def test_utf8_files_under_an_ascii_locale(tmp_path):
+    # the formats are UTF-8 whatever the locale; with the C locale and no
+    # UTF-8 mode, Python's text files are ASCII
+    game = tmp_path / "cafe.pg"
+    game.write_bytes('parity 1;\n0 1 0 1 "café";\n1 2 1 0,1;\n'.encode())
+    src = str(Path(pf.__file__).parent.parent)
+    env = {
+        **os.environ,
+        "LC_ALL": "C",
+        "PYTHONCOERCECLOCALE": "0",
+        "PYTHONUTF8": "0",
+        "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+    }
+    cli = "import sys; from parityfix.cli import main; sys.exit(main(sys.argv[1:]))"
+    sol = tmp_path / "cafe.sol"
+    for args in (
+        ["solve", "--verify", str(game), "-o", str(sol)],
+        ["verify", str(game), str(sol)],
+        ["stats", str(game)],
+    ):
+        done = subprocess.run([sys.executable, "-c", cli, *args], env=env, capture_output=True)
+        assert (args[0], done.returncode, done.stderr) == (args[0], 0, b"")
 
 
 class TestVerifyCommand:

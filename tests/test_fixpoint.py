@@ -5,70 +5,7 @@ import parityfix as pf
 from parityfix import Player
 from parityfix.fixpoint import FixpointTrace, universe
 
-from _oracles import onestep
 from conftest import seeded_game
-
-
-class TestModalOperators:
-    def test_full_set(self, g1):
-        v = universe(g1)
-        assert pf.diamond(v, g1) == v
-        assert pf.box(v, g1) == v
-
-    def test_empty_set(self, g1):
-        assert pf.diamond(frozenset(), g1) == frozenset()
-        assert pf.box(frozenset(), g1) == frozenset()
-
-    def test_g1_singleton(self, g1):
-        s = frozenset({1})
-        assert pf.diamond(s, g1) == {0}
-        assert pf.box(s, g1) == frozenset()
-
-
-class TestOnestepSets:
-    def test_g1_empty_flags(self, g1):
-        one0, one1, distraction = pf.onestep_sets(frozenset(), g1)
-        assert one0 == {0}
-        assert one1 == {1}
-        # v0 (odd priority, one-step Even) and v1 (even priority, one-step
-        # Odd) are both one-step distraction estimates at this point
-        assert distraction == {0, 1}
-
-    @settings(max_examples=80, deadline=None)
-    @given(st.integers(0, 10**9))
-    def test_partition(self, seed):
-        game = seeded_game(seed, max_n=20)
-        rng = pf.SplitMix64(seed + 1)
-        z = frozenset(v for v in range(game.n) if rng.below(3) == 0)
-        one0, one1, _ = pf.onestep_sets(z, game)
-        assert one0 | one1 == universe(game)
-        assert one0 & one1 == frozenset()
-
-    @settings(max_examples=80, deadline=None)
-    @given(st.integers(0, 10**9))
-    def test_pointwise_agreement_with_solver_onestep(self, seed):
-        game = seeded_game(seed, max_n=20)
-        rng = pf.SplitMix64(seed + 2)
-        z = frozenset(v for v in range(game.n) if rng.below(3) == 0)
-        one0, one1, distraction = pf.onestep_sets(z, game)
-        for v in range(game.n):
-            player, _ = onestep(v, z, game)
-            assert (v in one0) == (player is Player.EVEN)
-            assert (v in one1) == (player is Player.ODD)
-            expected = (game.priority[v] & 1) != int(player)
-            assert (v in distraction) == expected
-
-
-class TestForce:
-    @settings(max_examples=60, deadline=None)
-    @given(st.integers(0, 10**9))
-    def test_duality(self, seed):
-        game = seeded_game(seed, max_n=20)
-        rng = pf.SplitMix64(seed + 3)
-        x = frozenset(v for v in range(game.n) if rng.below(2) == 0)
-        v = universe(game)
-        for player in (Player.EVEN, Player.ODD):
-            assert pf.force(player, x, game) == v - pf.force(player.opponent, v - x, game)
 
 
 class TestNestedFixpoint:

@@ -1,4 +1,3 @@
-import logging
 from unittest import mock
 
 import numpy as np
@@ -55,12 +54,6 @@ class TestParseGame:
     def test_duplicate_edge_rejected(self):
         with pytest.raises(pf.DuplicateEdgeError):
             pf.parse_pgsolver("0 1 0 0,0;")
-
-    def test_duplicate_edge_permissive(self, caplog):
-        with caplog.at_level(logging.WARNING):
-            game = pf.parse_pgsolver("0 1 0 0,0;", permissive=True)
-        assert game.successors == ((0,),)
-        assert any("duplicate" in r.message for r in caplog.records)
 
     def test_syntax_error_reports_position(self):
         with pytest.raises(pf.ParseError) as err:
@@ -175,17 +168,17 @@ def pgsolver_texts(draw, mutate: bool = False) -> str:
     return text
 
 
-def _outcome(parse, text: str, permissive: bool):
+def _outcome(parse, text: str):
     try:
-        return parse(text, permissive=permissive)
+        return parse(text)
     except (pf.ParseError, pf.ValidationError) as exc:
         return type(exc), getattr(exc, "line", None), getattr(exc, "column", None), str(exc)
 
 
-def _check_outcome(text: str, permissive: bool = False) -> None:
+def _check_outcome(text: str) -> None:
     """``parse_pgsolver`` gives the line scanner's game or error."""
-    want = _outcome(formats._scan_pgsolver, text, permissive)
-    got = _outcome(pf.parse_pgsolver, text, permissive)
+    want = _outcome(formats._scan_pgsolver, text)
+    got = _outcome(pf.parse_pgsolver, text)
     if isinstance(want, pf.ParityGame):
         assert isinstance(got, pf.ParityGame) and games_equal(got, want)
     else:
@@ -220,10 +213,10 @@ class TestWholeTextReader:
             assert games_equal(pf.parse_pgsolver(text), want)
 
     @settings(max_examples=400, deadline=None)
-    @given(pgsolver_texts(mutate=True), st.booleans())
-    def test_same_outcome_as_line_scanner(self, text, permissive):
+    @given(pgsolver_texts(mutate=True))
+    def test_same_outcome_as_line_scanner(self, text):
         for _ in _block_sizes():
-            _check_outcome(text, permissive)
+            _check_outcome(text)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10**9), st.booleans())

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import parityfix as pf
+from parityfix.game import _subgame
 
-from _oracles import reference_first_error
+from _oracles import forward_map, reference_first_error
 from conftest import seeded_game
 
 
@@ -171,14 +172,21 @@ def test_first_error_matches_per_edge_walk(successors):
 class TestSortByPriority:
     def test_three_vertex_example(self):
         game = pf.ParityGame([2, 0, 1], [0, 1, 0], [[1], [2], [0]])
-        sorted_game, perm = pf.sort_by_priority(game)
+        sorted_game, to_parent = pf.sort_by_priority(game)
         assert sorted_game.priority == (0, 1, 2)
-        assert perm.forward == (2, 0, 1)
+        assert to_parent.tolist() == [1, 2, 0]
 
     def test_already_sorted_gives_identity(self, g1):
-        sorted_game, perm = pf.sort_by_priority(g1)
-        assert perm.is_identity
+        sorted_game, to_parent = pf.sort_by_priority(g1)
+        assert to_parent.tolist() == list(range(g1.n))
         assert sorted_game is g1
+
+    @pytest.mark.parametrize("priority", [[0, 1, 2], [2, 0, 1]], ids=["sorted", "unsorted"])
+    def test_map_is_a_read_only_int64_array(self, priority):
+        _, to_parent = pf.sort_by_priority(pf.ParityGame(priority, [0, 1, 0], [[1], [2], [0]]))
+        assert isinstance(to_parent, np.ndarray) and to_parent.dtype == np.int64
+        with pytest.raises(ValueError):
+            to_parent[0] = 0
 
     def test_g2_internal_priorities(self, g2):
         sorted_game, _ = pf.sort_by_priority(g2)
@@ -193,8 +201,8 @@ class TestSortByPriority:
     @given(st.integers(0, 10**9))
     def test_backward_permutation_roundtrip(self, seed):
         game = seeded_game(seed)
-        sorted_game, perm = pf.sort_by_priority(game)
-        back = apply_backward(sorted_game, perm)
+        sorted_game, to_parent = pf.sort_by_priority(game)
+        back = apply_backward(sorted_game, to_parent)
         assert back.priority == game.priority
         assert back.owner == game.owner
         assert back.successors == game.successors
@@ -204,31 +212,28 @@ class TestSortByPriority:
     @given(st.integers(0, 10**9))
     def test_permutation_is_bijective(self, seed):
         game = seeded_game(seed)
-        _, perm = pf.sort_by_priority(game)
-        n = game.n
-        assert sorted(perm.forward) == list(range(n))
-        assert all(perm.backward[perm.forward[v]] == v for v in range(n))
+        _, to_parent = pf.sort_by_priority(game)
+        assert sorted(to_parent.tolist()) == list(range(game.n))
 
 
-def apply_backward(sorted_game: pf.ParityGame, perm: pf.SortPermutation) -> pf.ParityGame:
+def apply_backward(sorted_game: pf.ParityGame, to_parent: np.ndarray) -> pf.ParityGame:
     """Undo sort_by_priority, reproducing the original vertex order."""
-    if perm.is_identity:
+    bwd = to_parent.tolist()
+    if bwd == list(range(sorted_game.n)):
         return sorted_game
-    fwd = perm.forward
+    fwd = forward_map(to_parent)
     return pf.ParityGame(
         priority=[sorted_game.priority[fwd[v]] for v in range(sorted_game.n)],
         owner=[sorted_game.owner[fwd[v]] for v in range(sorted_game.n)],
-        successors=[
-            [perm.backward[u] for u in sorted_game.successors[fwd[v]]]
-            for v in range(sorted_game.n)
-        ],
+        successors=[[bwd[u] for u in sorted_game.successors[fwd[v]]] for v in range(sorted_game.n)],
         original_id=[sorted_game.original_id[fwd[v]] for v in range(sorted_game.n)],
         label=[sorted_game.label[fwd[v]] for v in range(sorted_game.n)],
     )
 
 
-def _sort_reference(game: pf.ParityGame) -> tuple[pf.ParityGame, pf.SortPermutation]:
-    """The sort as a stable Python sort that renumbers the successor lists."""
+def _sort_reference(game: pf.ParityGame) -> tuple[pf.ParityGame, list[int]]:
+    """The sort as a stable Python sort that renumbers the successor lists;
+    returns the sorted game and its ``to_parent`` map as a list."""
     backward = sorted(range(game.n), key=game.priority.__getitem__)
     forward = [0] * game.n
     for internal, external in enumerate(backward):
@@ -240,7 +245,7 @@ def _sort_reference(game: pf.ParityGame) -> tuple[pf.ParityGame, pf.SortPermutat
         [game.original_id[e] for e in backward],
         [game.label[e] for e in backward],
     )
-    return sorted_game, pf.SortPermutation(tuple(forward), tuple(backward))
+    return sorted_game, backward
 
 
 class TestSortArrays:
@@ -256,9 +261,9 @@ class TestSortArrays:
                 original_id=[5 * v + 2 for v in range(game.n)],
                 label=[f"v{v}" if v % 3 else None for v in range(game.n)],
             )
-        got, perm = pf.sort_by_priority(game)
-        want, want_perm = _sort_reference(game)
-        assert perm == want_perm
+        got, to_parent = pf.sort_by_priority(game)
+        want, want_to_parent = _sort_reference(game)
+        assert to_parent.tolist() == want_to_parent
         for attr in ("priority", "owner", "successors", "original_id", "label"):
             assert getattr(got, attr) == getattr(want, attr)
         for a, b in zip((*got._csr, got._owner_bits), (*want._csr, want._owner_bits)):
@@ -266,9 +271,9 @@ class TestSortArrays:
 
     def test_priorities_beyond_64_bits(self):
         game = pf.ParityGame([2**70, 1, 2**64], [0, 1, 0], [[1], [2], [0]])
-        sorted_game, perm = pf.sort_by_priority(game)
+        sorted_game, to_parent = pf.sort_by_priority(game)
         assert sorted_game.priority == (1, 2**64, 2**70)
-        assert perm.backward == (1, 2, 0)
+        assert to_parent.tolist() == [1, 2, 0]
         assert sorted_game.successors == ((1,), (2,), (0,))
 
 
@@ -359,6 +364,43 @@ class TestStorage:
         for a in _stored(g1):
             with pytest.raises(ValueError):
                 a[0] = 1
+
+
+class TestSubgame:
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 10**9))
+    def test_same_game_as_python_renumber_and_filter(self, seed):
+        # every vertex, in a seeded random order; the self-loops of vertices
+        # with another successor go, and a doubled first edge stays doubled
+        base = seeded_game(seed, max_n=120, max_d=8, self_loop=0.4)
+        n = base.n
+        succ = [list(s) + list(s[:1]) * (v % 4 == 0) for v, s in enumerate(base.successors)]
+        game = pf.ParityGame(
+            base.priority,
+            base.owner,
+            succ,
+            original_id=[3 * v + 1 for v in range(n)],
+            label=[f"v{v}" if v % 2 else None for v in range(n)],
+        )
+        rng = pf.SplitMix64(seed + 5)
+        rows = list(range(n))
+        for i in range(n - 1, 0, -1):
+            j = rng.below(i + 1)
+            rows[i], rows[j] = rows[j], rows[i]
+        only_loops = [all(u == v for u in s) for v, s in enumerate(succ)]
+        keep = [u != v or only_loops[v] for v in range(n) for u in succ[v]]
+        got = _subgame(game, np.array(rows, dtype=np.int64), np.array(keep, dtype=bool))
+        index = {v: i for i, v in enumerate(rows)}
+        want = pf.ParityGame(
+            [game.priority[v] for v in rows],
+            [game.owner[v] for v in rows],
+            [[index[u] for u in succ[v] if u != v or only_loops[v]] for v in rows],
+            [game.original_id[v] for v in rows],
+            [game.label[v] for v in rows],
+        )
+        for a, b in zip(_stored(got), _stored(want)):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert got.label == want.label
 
 
 _SOLVERS_WITH_TIMEOUT = {
