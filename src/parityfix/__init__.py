@@ -27,7 +27,6 @@ from .game import (
     ValidationError,
     game_stats,
     sort_by_priority,
-    validate,
 )
 from .generator import GenParams, InvalidParamsError, SplitMix64, random_game
 from .graphs import attract
@@ -54,7 +53,7 @@ from .verifier import (
     VerificationReport,
     verify,
 )
-from .zielonka import RecursionDepthError, solve_zielonka
+from .zielonka import solve_zielonka
 
 __version__ = "0.1.0"
 
@@ -67,7 +66,6 @@ __all__ = [
     "SinkVertexError",
     "DanglingEdgeError",
     "DuplicateEdgeError",
-    "validate",
     "sort_by_priority",
     "game_stats",
     "ParseError",
@@ -85,7 +83,6 @@ __all__ = [
     "solve_detailed",
     "attract",
     "solve_zielonka",
-    "RecursionDepthError",
     "FixpointBudgetError",
     "FixpointTrace",
     "bfl_win0",

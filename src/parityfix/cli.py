@@ -198,12 +198,12 @@ _BENCH_COLUMNS = [
 ]
 
 
-def _bench_row(path: Path, solver: str, preprocess: bool, timeout_s: float, reps: int):
-    name = path.name
+def _bench_row(
+    name: str, game: ParityGame | None, solver: str, preprocess: bool, timeout_s: float, reps: int
+):
+    """One CSV row; ``game`` is None for a file that could not be read."""
     pre = "1" if preprocess else "0"
-    try:
-        game = parse_pgsolver(path.read_bytes())
-    except Exception:
+    if game is None:
         return [name, solver, pre, "", "error", "", "", "", "", "", "", ""]
     st = game_stats(game)
     size = [str(st.n), str(st.edges), str(st.max_priority)]
@@ -216,7 +216,7 @@ def _bench_row(path: Path, solver: str, preprocess: bool, timeout_s: float, reps
         except SolveTimeoutError as exc:
             row = [name, solver, pre, f"{timeout_s:.6f}", "timeout", *size]
             return row + _counter_cells(exc.stats)
-        except Exception:  # includes RecursionDepthError and FixpointBudgetError
+        except Exception:  # includes FixpointBudgetError
             return [name, solver, pre, "", "error", *size, "", "", "", ""]
         times.append(time.perf_counter() - t0)
     mean = sum(times) / len(times)
@@ -247,9 +247,14 @@ def _cmd_bench(args) -> int:
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(_BENCH_COLUMNS)
     for path in files:
+        try:
+            game = parse_pgsolver(path.read_bytes())
+        except Exception:
+            game = None
         for solver in solvers:
             for preprocess in (True, False):
-                writer.writerow(_bench_row(path, solver, preprocess, args.timeout, args.repetitions))
+                row = _bench_row(path.name, game, solver, preprocess, args.timeout, args.repetitions)
+                writer.writerow(row)
     return EXIT_OK
 
 

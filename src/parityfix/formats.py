@@ -14,21 +14,23 @@ from the records.  An empty game serializes to an empty file since there
 is no sensible max-id for it.
 
 Game files are read by an array reader, from after an optional header on
-the first non-blank line.  It takes the UTF-8 bytes of the text as a
-``uint8`` array, in blocks of at most ``_BLOCK`` bytes (64 KiB) cut at line
-ends, so its transient arrays stay small; a line longer than a block is a
-block of its own.  In each block a 256-entry table classifies the bytes,
+the first non-blank line.  It reads the UTF-8 bytes of the text (a
+``str`` is encoded once) as a ``uint8`` array, in blocks of at most
+``_BLOCK`` bytes (64 KiB) cut at line ends, so its transient arrays stay
+small; a line longer than a block is a block of its own.  In each block a 256-entry table classifies the bytes,
 the span of each label (a line holds 0 or 2 double quotes) becomes one
 token, every line must be blank (exactly ``[ \\t]*\\r?``; a form feed or a
 second ``\\r`` is not blank) or a record ``N N [01] N (, N)* L? ;``, a
 ``\\r`` may only end a line, and digit runs of at most 18 digits become
 int64 numbers.  Over the whole text, ids must be distinct, every target
 must be declared and no row may repeat a target.  The reader then builds
-the game straight from its CSR arrays.  Anything else (a late header, an
-owner written ``01``, a 19-digit number, a non-ASCII digit, any error)
-hands the whole text to the line scanner, which raises or builds the same
+the game straight from its CSR arrays; it decodes nothing but the labels.
+Anything else (a late header, an owner written ``01``, a 19-digit number,
+a non-ASCII digit, a label that is not UTF-8, any error) hands the whole
+text to the line scanner, which decodes it and raises or builds the same
 game through the constructor.  So every error, with its line, column and
-message, comes from the line scanner.  The writers read the game's arrays.
+message, and every ``UnicodeDecodeError`` comes from the line scanner.  The
+writers read the game's arrays.
 """
 
 from __future__ import annotations
@@ -37,13 +39,20 @@ import re
 
 import numpy as np
 
-from .game import DanglingEdgeError, DuplicateEdgeError, ParityGame, Player, Solution
+from .game import (
+    DanglingEdgeError,
+    DuplicateEdgeError,
+    ParityGame,
+    Player,
+    Solution,
+    _repeated_edge,
+)
 
 _INT = re.compile(r"\d+")
 _LABEL = re.compile(r'"([^"]*)"')
 
 # The header, on the first non-blank line, ends where the array reader starts.
-_HEADER = re.compile(r"(?:[ \t]*\r?\n)*[ \t]*parity[ \t]*[0-9]+[ \t]*;[ \t]*\r?$", re.M)
+_HEADER = re.compile(rb"(?:[ \t]*\r?\n)*[ \t]*parity[ \t]*[0-9]+[ \t]*;[ \t]*\r?$", re.M)
 
 _BLOCK = 1 << 16  # bytes per block of the array reader, cut at a line end
 _CHUNK = 1 << 12  # lines per chunk of ``write_solution``
@@ -165,24 +174,17 @@ def _lines(text: str | bytes) -> list[str]:
 def parse_pgsolver(text: str | bytes) -> ParityGame:
     """Parse a game file, as text or as UTF-8 bytes, into a game without
     sinks, dangling or duplicate edges."""
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
-    game = _read_arrays(text)
-    if game is None:
-        game = _scan_pgsolver(text)
-    return game
+    # a lone surrogate is encoded as it is, so the reader cannot decode it
+    game = _read_arrays(text.encode("utf-8", "surrogatepass") if isinstance(text, str) else text)
+    return _scan_pgsolver(text) if game is None else game
 
 
-def _read_arrays(text: str) -> ParityGame | None:
+def _read_arrays(raw: bytes) -> ParityGame | None:
     """The game of a text of well-formed lines only, or None for the line scanner."""
-    header = _HEADER.match(text)
-    try:
-        raw = text.encode()
-    except UnicodeEncodeError:  # a lone surrogate
-        return None
+    header = _HEADER.match(raw)
     blocks = []
     records = 0
-    start = header.end() if header else 0  # the header is ASCII: its end is a byte offset
+    start = header.end() if header else 0
     while start < len(raw):
         stop = len(raw)
         if start + _BLOCK < stop:
@@ -221,15 +223,16 @@ def _read_arrays(text: str) -> ParityGame | None:
         if (sorted_ids[at] != succ).any():
             return None
         targets = order[at]
-    rows = np.repeat(np.arange(n, dtype=np.int64), degree)
-    keys = np.sort(rows * n + targets)
-    if (keys[1:] == keys[:-1]).any():
-        return None
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(degree, out=indptr[1:])
+    if _repeated_edge(indptr, targets) >= 0:
+        return None
     label: list[str | None] = [None] * n
-    for v, (a, b) in zip(label_at.tolist(), label_span.reshape(-1, 2).tolist()):
-        label[v] = raw[a:b].decode()
+    try:
+        for v, (a, b) in zip(label_at.tolist(), label_span.reshape(-1, 2).tolist()):
+            label[v] = raw[a:b].decode()
+    except UnicodeDecodeError:  # the line scanner raises it for the whole text
+        return None
     return ParityGame._from_csr(
         priority, owner.astype(np.uint8), indptr, targets.astype(np.int32), ids, label
     )

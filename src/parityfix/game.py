@@ -125,6 +125,17 @@ def _first_repeat(keys: np.ndarray) -> int:
     return int(later.min()) if len(later) else -1
 
 
+def _repeated_edge(indptr: np.ndarray, targets: np.ndarray) -> int:
+    """The first edge, in stored order, that repeats an earlier edge of its
+    vertex, or -1; a plain sort tells whether there is one."""
+    n = len(indptr) - 1
+    keys = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr)) * n + targets
+    ordered = np.sort(keys)
+    if not (ordered[1:] == ordered[:-1]).any():
+        return -1
+    return _first_repeat(keys)
+
+
 class ParityGame:
     """Immutable indexed parity game, stored as arrays over its vertices.
 
@@ -141,9 +152,11 @@ class ParityGame:
     owner that is not a player, and a priority or original id that is not a
     nonnegative integer or an id that repeats; it raises the
     ``SinkVertexError`` or ``DanglingEdgeError`` (a target that is not an
-    integer in ``0..n-1``) of the first such vertex.  So only duplicate
-    edges are left for ``validate``.  The reader builds games from checked
-    arrays (``_from_csr``), and the sort and the reductions through
+    integer in ``0..n-1``) of the first such vertex, and then the
+    ``DuplicateEdgeError`` of the first edge, in stored order, that repeats
+    an earlier edge of its vertex.  So every game is valid: each vertex has
+    a successor and each edge is stored once.  The reader builds games from
+    checked arrays (``_from_csr``), and the sort and the reductions through
     ``_subgame``.
     """
 
@@ -186,11 +199,15 @@ class ParityGame:
                 raise SinkVertexError(int(sinks[0]))
             u = flat[bad[0]]
             raise DanglingEdgeError(int(v), int(u) if isinstance(u, np.integer) else u)
+        targets = targets.astype(np.int32)
+        if (e := _repeated_edge(indptr, targets)) >= 0:
+            v = int(np.searchsorted(indptr, e, side="right")) - 1
+            raise DuplicateEdgeError(v, int(targets[e]))
         self._store(
             _naturals(priority, "priority"),
             owner_bits,
             indptr,
-            targets.astype(np.int32),
+            targets,
             ids,
             (None,) * n if label is None else label,
         )
@@ -198,7 +215,7 @@ class ParityGame:
     @classmethod
     def _from_csr(cls, *arrays) -> "ParityGame":
         """The game of ``_store``'s arguments, checked by the caller: no sink,
-        no target out of range, no repeated id; duplicate edges are kept."""
+        no target out of range, no repeated id or edge."""
         game = cls.__new__(cls)
         game._store(*arrays)
         return game
@@ -389,30 +406,14 @@ class GameStats:
     avg_outdegree: float
 
 
-def validate(game: ParityGame) -> None:
-    """Raise ``DuplicateEdgeError`` for the first edge, in stored order, that
-    repeats an earlier edge of its vertex.
-
-    The constructor has checked every other invariant: each vertex has a
-    successor and every target is in the vertex range.  The reader refuses
-    duplicate edges too, but the constructor and the derived games keep them.
-    """
-    indptr, targets, _ = game._csr
-    keys = np.repeat(np.arange(game.n, dtype=np.int64), np.diff(indptr)) * game.n + targets
-    e = _first_repeat(keys)
-    if e >= 0:
-        v = int(np.searchsorted(indptr, e, side="right")) - 1
-        raise DuplicateEdgeError(v, int(targets[e]))
-
-
 def _subgame(game: ParityGame, rows: np.ndarray, keep: np.ndarray | None = None) -> ParityGame:
     """The game on the parent vertices ``rows``, in that order.
 
     Each successor list keeps, in stored order, its edges into ``rows`` that
     ``keep`` (a mask over the parent's edges, when given) marks, renumbered
-    to the targets' places in ``rows``; duplicate edges are kept.  The
-    caller makes sure that every row keeps an edge.  Every derived game (the
-    sort and both reductions) is built here.
+    to the targets' places in ``rows``.  The caller makes sure that every
+    row keeps an edge.  Every derived game (the sort and both reductions)
+    is built here.
     """
     indptr, targets, _ = game._csr
     child_index = np.full(game.n, -1, dtype=np.int32)

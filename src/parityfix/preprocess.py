@@ -26,8 +26,8 @@ are the ones from which every path reaches a vertex with no successor
 inside; the same count-down attractor, run for the other player from
 those vertices, finds them.  The rest, and their attractor, are won.
 Residuals are built from the parent's arrays by ``game._subgame``, with no
-tuple view read, and keep any duplicate edge of the parent.  Nothing
-here shares code with the oracles' per-vertex attractor and SCC search.
+tuple view read.  Nothing here shares code with the oracles' per-vertex
+attractor and SCC search.
 """
 
 from __future__ import annotations
@@ -164,20 +164,18 @@ def eliminate_self_loops(game: ParityGame) -> tuple[PartialSolution, ParityGame]
     takes every other successor, the owner is stuck and the vertex joins
     that player's attractor at once.  The owner's attractor never counts a
     hostile loop's vertex down (it joins on any edge into the region), so
-    one attractor per player leaves no hostile loop stuck.  A loop stored twice
-    counts as one loop, and every copy of a hostile loop leaves the degree.
+    one attractor per player leaves no hostile loop stuck.
     """
     indptr, targets, _ = game._csr
     sources = np.repeat(np.arange(game.n), np.diff(indptr))
     looped = targets == sources
-    loops = sources[looped]  # a doubled loop comes twice
+    loopers = sources[looped]
     par = game._parity_bits
     alive, degree, win, choice = _undecided(game)
-    np.subtract.at(degree, loops[par[loops] != game._owner_bits[loops]], 1)
-    loopers = _distinct(loops)
     friendly = par[loopers] == game._owner_bits[loopers]
     choice[loopers[friendly]] = loopers[friendly]
     hostile = loopers[~friendly]
+    degree[hostile] -= 1
     seeds = np.concatenate((loopers[friendly], hostile[degree[hostile] == 0]))
     for beta in (0, 1):
         mine = seeds[par[seeds] == beta]

@@ -79,8 +79,11 @@ from .game import (
 # The freezing engine lists a dirty set of at most this many vertices in
 # Python (``find`` on the byte layout) and evaluates it in a Python loop; a
 # larger set is listed and evaluated with numpy.  The same split decides how
-# the predecessors of changed vertices are marked.  Measured on the two
-# core-10k games: see ROADMAP item 2.
+# the predecessors of changed vertices are marked.  Thread CPU of the two
+# seed-0 core-10k games after preprocessing (best of 3; Python 3.11, numpy
+# 2.4, a 2-vCPU x86-64 host): 2.16 and 2.91 s at 64, 2.74 and 3.11 s with
+# the Python loop at every size, 6.50 and 7.71 s with numpy at every size.
+# Passes, additions, resets and freezes are the same at every setting.
 _K = 64
 
 

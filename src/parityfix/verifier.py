@@ -227,9 +227,8 @@ def _local_checks(
             v = int(src[e])
             fault = EscapeEdge(v, int(targets[e]))
         found[int(win[v])].append(fault)
-    looped = np.zeros(n, dtype=bool)
-    looped[src[loops]] = True  # once per vertex, though a duplicate edge repeats a loop
-    for v, p in zip(np.flatnonzero(looped).tolist(), game._priority[looped].tolist()):
+    looped = src[loops]
+    for v, p in zip(looped.tolist(), game._priority[looped].tolist()):
         player = int(win[v])
         if p & 1 != player:
             found[player].append(LosingCycleWitness((v,), p))

@@ -1,9 +1,10 @@
 """Recursive attractor-decomposition solver, used as a differential oracle.
 
-Correctness over speed: subgames are plain alive masks, the recursion is
-driven through an explicit stack of generators (so Python's recursion
-limit never matters), and a configurable depth guard rejects pathological
-inputs instead of spinning.
+Correctness over speed: subgames are plain alive masks, and the recursion
+is driven through an explicit stack of generators, so Python's recursion
+limit never matters.  Every step removes at least one vertex (its top
+priority vertices, or the opponent's won region), so the stack holds at
+most n + 1 steps.
 """
 
 from __future__ import annotations
@@ -13,12 +14,6 @@ from typing import Generator
 
 from .game import ParityGame, Player, Solution, SolveTimeoutError, _deadline
 from .graphs import attract
-
-
-class RecursionDepthError(Exception):
-    def __init__(self, limit: int):
-        self.limit = limit
-        super().__init__(f"subgame recursion exceeded depth {limit}")
 
 
 _Result = tuple[set[int], set[int], dict[int, int], dict[int, int]]
@@ -78,15 +73,9 @@ def _decompose(game: ParityGame, alive: list[bool], count: int) -> Generator:
     return opp_win, r1, opp_strategy, t1
 
 
-def solve_zielonka(
-    game: ParityGame,
-    *,
-    depth_limit: int | None = None,
-    timeout_s: float | None = None,
-) -> Solution:
+def solve_zielonka(game: ParityGame, *, timeout_s: float | None = None) -> Solution:
     """Solve by recursive decomposition; returns regions and strategies."""
     n = game.n
-    limit = depth_limit if depth_limit is not None else n + game.max_priority + 8
     deadline = _deadline(timeout_s, time.perf_counter())
 
     stack = [_decompose(game, [True] * n, n)]
@@ -106,8 +95,6 @@ def solve_zielonka(
             stack.pop()
             sent = result
             continue
-        if len(stack) >= limit:
-            raise RecursionDepthError(limit)
         sub_alive, sub_count = request
         stack.append(_decompose(game, sub_alive, sub_count))
         sent = None

@@ -9,8 +9,7 @@ vertex of a level, the freezing one with event callbacks for the tests
 that check the freeze discipline.  ``reference_verify`` is the
 per-vertex solution verifier that walks the successor and winner tuples
 and runs Tarjan over every claimed vertex.  ``reference_first_error`` is
-the per-edge walk that ``validate`` was before the constructor checked its
-input.
+the per-edge walk that names the error the game constructor raises.
 ``reference_winner_controlled_cycles`` is the cycle reduction by SCC
 decomposition, on ``sccs`` (iterative Tarjan, here since no production
 module reads it) and ``pf.attract``.  ``winner_of`` and
@@ -38,10 +37,10 @@ from parityfix.verifier import Violation
 
 
 def reference_first_error(n: int, successors) -> pf.ValidationError | None:
-    """The error that the constructor and then ``validate`` raise for the
-    successor lists of ``n`` vertices, by a per-edge walk: the first sink or
-    target that is not an integer in ``0..n-1``, else the first target that
-    repeats one of its row; ``None`` when there is none."""
+    """The error that the constructor raises for the successor lists of
+    ``n`` vertices, by a per-edge walk: the first sink or target that is
+    not an integer in ``0..n-1``, else the first target that repeats one of
+    its row; ``None`` when there is none."""
     for v, succ in enumerate(successors):
         if not succ:
             return pf.SinkVertexError(v)

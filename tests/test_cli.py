@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import parityfix as pf
+from parityfix import cli
 from parityfix.cli import main
 
 from conftest import DATA
@@ -243,6 +244,22 @@ class TestBenchCommand:
         assert outcomes["broken.pg"] == "error"
         assert outcomes["g1.pg"] == "solved"
 
+    def test_each_file_parsed_once(self, g1_path, monkeypatch, capsys):
+        (g1_path.parent / "broken.pg").write_text("not a game")
+        calls = []
+        parse = cli.parse_pgsolver
+        monkeypatch.setattr(cli, "parse_pgsolver", lambda data: calls.append(data) or parse(data))
+        flags = ["--solvers", "dfi,zlk,bfl", "--repetitions", "1"]
+        assert main(["bench", str(g1_path.parent), *flags]) == 0
+        assert len(calls) == 2
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        assert len(rows) == 2 * 3 * 2
+        broken = [row for row in rows if row[0] == "broken.pg"]
+        assert [row[1:3] for row in broken] == [
+            [s, p] for s in ("dfi", "zlk", "bfl") for p in ("1", "0")
+        ]
+        assert all(row[3:] == ["", "error"] + [""] * 7 for row in broken)
+
     def test_unknown_solver(self, g1_path):
         assert main(["bench", str(g1_path.parent), "--solvers", "zelda"]) == 3
 
@@ -257,3 +274,40 @@ class TestBenchCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error:")
+
+
+WORKFLOW = Path(__file__).parent.parent / ".github" / "workflows" / "tier1.yml"
+
+
+def _workflow_step_script(name: str) -> str:
+    """The ``run: |`` block of the workflow step called ``name``, dedented."""
+    lines = WORKFLOW.read_text().splitlines()
+    at = next(i for i, line in enumerate(lines) if line.strip() == f"- name: {name}")
+    at = next(i for i in range(at + 1, len(lines)) if lines[i].strip() == "run: |")
+    indent = len(lines[at]) - len(lines[at].lstrip()) + 2
+    block = []
+    for line in lines[at + 1 :]:
+        if line.strip() and len(line) - len(line.lstrip()) < indent:
+            break
+        block.append(line[indent:])
+    return "\n".join(block) + "\n"
+
+
+def test_workflow_console_script_step(tmp_path):
+    # the CI step runs against an installed ``parityfix``; here a shim on
+    # PATH runs this checkout's ``parityfix.cli.run`` instead
+    script = _workflow_step_script("Installed console script")
+    assert script.startswith("parityfix gen ")
+    shim = tmp_path / "bin" / "parityfix"
+    shim.parent.mkdir()
+    src = str(Path(pf.__file__).parent.parent)
+    shim.write_text(
+        f"#!{sys.executable}\nimport sys\nsys.path.insert(0, {src!r})\n"
+        "from parityfix.cli import run\nrun()\n"
+    )
+    shim.chmod(0o755)
+    env = {**os.environ, "PATH": os.pathsep.join([str(shim.parent), os.environ.get("PATH", "")])}
+    done = subprocess.run(
+        ["bash", "-e", "-c", script], cwd=tmp_path, env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stdout + done.stderr

@@ -175,10 +175,11 @@ def _outcome(parse, text: str):
         return type(exc), getattr(exc, "line", None), getattr(exc, "column", None), str(exc)
 
 
-def _check_outcome(text: str) -> None:
-    """``parse_pgsolver`` gives the line scanner's game or error."""
+def _check_outcome(text: str, data: str | bytes | None = None) -> None:
+    """``parse_pgsolver`` of ``data`` (by default ``text``) gives the line
+    scanner's game or error for ``text``."""
     want = _outcome(formats._scan_pgsolver, text)
-    got = _outcome(pf.parse_pgsolver, text)
+    got = _outcome(pf.parse_pgsolver, text if data is None else data)
     if isinstance(want, pf.ParityGame):
         assert isinstance(got, pf.ParityGame) and games_equal(got, want)
     else:
@@ -190,6 +191,11 @@ def _csr_equal(a: pf.ParityGame, b: pf.ParityGame) -> bool:
         x.dtype == y.dtype and np.array_equal(x, y)
         for x, y in zip((*a._csr, a._owner_bits), (*b._csr, b._owner_bits))
     )
+
+
+def _read(text: str) -> pf.ParityGame | None:
+    """The array reader on ``text`` as ``parse_pgsolver`` encodes it."""
+    return formats._read_arrays(text.encode("utf-8", "surrogatepass"))
 
 
 def _block_sizes():
@@ -207,7 +213,7 @@ class TestWholeTextReader:
     def test_same_game_as_line_scanner(self, text):
         want = formats._scan_pgsolver(text)
         for _ in _block_sizes():
-            fast = formats._read_arrays(text)
+            fast = _read(text)
             assert fast is not None
             assert games_equal(fast, want) and _csr_equal(fast, want)
             assert games_equal(pf.parse_pgsolver(text), want)
@@ -217,6 +223,7 @@ class TestWholeTextReader:
     def test_same_outcome_as_line_scanner(self, text):
         for _ in _block_sizes():
             _check_outcome(text)
+            _check_outcome(text, text.encode())
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10**9), st.booleans())
@@ -255,12 +262,27 @@ class TestWholeTextReader:
     def test_edge_texts(self, text, read):
         # ``read``: the array reader takes the text rather than the scanner
         for _ in _block_sizes():
-            assert (formats._read_arrays(text) is not None) is read
+            assert (_read(text) is not None) is read
             _check_outcome(text)
 
     def test_invalid_utf8_raises(self):
-        with pytest.raises(UnicodeDecodeError):
-            pf.parse_pgsolver(b'0 0 0 0 "\xff";')
+        # inside a label the reader decodes it, elsewhere the line scanner;
+        # either way the error is the whole text's
+        for data in (
+            b'0 0 0 0 "\xff";',
+            b'0 0 0 0 "ok";\n1 0 0 1 "caf\xc3";\n',
+            b"0 0 0 0;\n1 \xff 0 1;\n",
+            b"\xfe0 0 0 0;",
+            b'0 0 0 0; "\xff"\n',
+        ):
+            with pytest.raises(UnicodeDecodeError) as want:
+                data.decode("utf-8")
+            for _ in _block_sizes():
+                with pytest.raises(UnicodeDecodeError) as got:
+                    pf.parse_pgsolver(data)
+                assert got.value.args == want.value.args
+        # a label that is not UTF-8 sends the text to the line scanner
+        assert formats._read_arrays(b'0 0 0 0 "\xff";') is None
 
 
 class TestWriteGame:

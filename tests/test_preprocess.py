@@ -5,7 +5,11 @@ from hypothesis import given, settings, strategies as st
 import parityfix as pf
 from parityfix import Player, preprocess
 
-from _oracles import reference_winner_controlled_cycles, sequential_self_loops
+from _oracles import (
+    reference_first_error,
+    reference_winner_controlled_cycles,
+    sequential_self_loops,
+)
 from conftest import seeded_game
 
 
@@ -87,7 +91,6 @@ def test_composition_soundness(seed):
     game = seeded_game(seed, self_loop=0.4)
     direct = pf.solve(game)
     partials, residual = pf.apply_preprocessing(game)
-    pf.validate(residual)
     assert not any(residual.has_self_loop(v) for v in range(residual.n))
     composed = pf.compose_solution(partials, pf.solve(residual))
     assert composed.winner == direct.winner
@@ -192,9 +195,9 @@ def test_hostile_loop_chain_decided_by_one_attractor(monkeypatch):
     assert winners(pf.eliminate_self_loops(_hostile_chain(60))[0]) == winner
 
 
-def _doubled(game: pf.ParityGame, seed: int) -> pf.ParityGame:
-    """``game`` with some edges stored twice: about half of the self-loops
-    and a quarter of the other vertices' first edges."""
+def _doubled(game: pf.ParityGame, seed: int) -> list[list[int]]:
+    """The successor lists of ``game`` with some edges stored twice: about
+    half of the self-loops and a quarter of the other vertices' first edges."""
     rng = pf.SplitMix64(seed)
     successors = []
     for v, succ in enumerate(game.successors):
@@ -204,36 +207,40 @@ def _doubled(game: pf.ParityGame, seed: int) -> pf.ParityGame:
         elif rng.below(4) == 0:
             succ.append(succ[0])
         successors.append(succ)
-    return pf.ParityGame(game.priority, game.owner, successors)
+    return successors
 
 
 DUPLICATE_EDGE_GAMES = [
     # a doubled friendly loop on vertex 0; vertex 1 can still escape to 2
-    pf.ParityGame([0, 0, 1], [0, 1, 1], [[0, 0], [0, 2], [2]]),
+    ([0, 0, 1], [0, 1, 1], [[0, 0], [0, 2], [2]], (0, 0)),
     # a doubled hostile loop on vertex 0 beside its edge to 1
-    pf.ParityGame([1, 1], [0, 1], [[0, 0, 1], [1]]),
-    # a doubled edge that survives into the residual
-    pf.ParityGame([1, 2, 0], [0, 1, 0], [[1, 1], [0], [2]]),
+    ([1, 1], [0, 1], [[0, 0, 1], [1]], (0, 0)),
+    # a doubled edge that would survive into the residual
+    ([1, 2, 0], [0, 1, 0], [[1, 1], [0], [2]], (0, 1)),
 ]
-
-
-def _check_preprocessed_solution(game: pf.ParityGame) -> None:
-    partials, residual = pf.apply_preprocessing(game)
-    assert all(residual.successors)
-    composed = pf.compose_solution(partials, pf.solve(residual))
-    assert composed.winner == pf.solve(game).winner == pf.solve_zielonka(game).winner
-    assert pf.verify(game, composed).ok
 
 
 @pytest.mark.parametrize("game", DUPLICATE_EDGE_GAMES)
 def test_duplicate_edge_cases(game):
-    _check_preprocessed_solution(game)
+    # no game holds a duplicate edge, so no reduction has to tolerate one
+    priority, owner, successors, edge = game
+    with pytest.raises(pf.DuplicateEdgeError) as err:
+        pf.ParityGame(priority, owner, successors)
+    assert (err.value.vertex, err.value.target) == edge
 
 
 @settings(max_examples=80, deadline=None)
 @given(st.integers(0, 10**9), st.sampled_from([0.1, 0.4]))
-def test_duplicate_edges_keep_the_solution(seed, self_loop):
-    _check_preprocessed_solution(_doubled(seeded_game(seed, self_loop=self_loop), seed))
+def test_doubled_edges_are_refused(seed, self_loop):
+    game = seeded_game(seed, self_loop=self_loop)
+    successors = _doubled(game, seed)
+    want = reference_first_error(game.n, successors)
+    try:
+        pf.ParityGame(game.priority, game.owner, successors)
+        got = None
+    except pf.ValidationError as exc:
+        got = exc
+    assert (type(got), str(got)) == (type(want), str(want))
 
 
 def _check_against_reference_cycles(game: pf.ParityGame) -> None:

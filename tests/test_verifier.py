@@ -226,10 +226,9 @@ def test_out_of_range_strategy_target_leaves_region(target):
         pf.Solution((Player.EVEN,) * 3, (1, value, 1))
 
 
-def test_duplicate_edges_match_reference():
-    # Even claims both; 0 keeps its odd self-loop (stored twice), 1 moves
-    # along one of its two equal edges
-    game = pf.ParityGame([1, 2], [0, 0], [[0, 0], [1, 1, 0]])
+def test_strategy_self_loops_match_reference():
+    # Even claims both; 0 keeps its odd self-loop, 1 its even one
+    game = pf.ParityGame([1, 2], [0, 0], [[0], [1, 0]])
     claim = pf.Solution((Player.EVEN, Player.EVEN), (0, 1))
     report = pf.verify(game, claim)
     assert report.violations == (LosingCycleWitness((0,), 1),)

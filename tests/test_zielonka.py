@@ -31,14 +31,6 @@ def test_empty_game():
     assert sol.winner == ()
 
 
-def test_depth_guard():
-    game = pf.ParityGame([0, 1], [0, 1], [[1], [0]])
-    with pytest.raises(pf.RecursionDepthError):
-        pf.solve_zielonka(game, depth_limit=1)
-    # the default limit is generous enough for ordinary games
-    pf.solve_zielonka(game)
-
-
 def test_timeout():
     game = seeded_game(7)
     with pytest.raises(pf.SolveTimeoutError):
