@@ -6,7 +6,7 @@ solvers, a solution verifier, preprocessing reductions, a seeded game
 generator, and a CLI (``parityfix``).
 """
 
-from .fixpoint import FixpointBudgetError, FixpointTrace, bfl_win0
+from .fixpoint import FixpointTrace, bfl_win0
 from .formats import (
     DuplicateVertexIdError,
     ParseError,
@@ -83,7 +83,6 @@ __all__ = [
     "solve_detailed",
     "attract",
     "solve_zielonka",
-    "FixpointBudgetError",
     "FixpointTrace",
     "bfl_win0",
     "PartialSolution",

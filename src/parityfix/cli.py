@@ -216,7 +216,7 @@ def _bench_row(
         except SolveTimeoutError as exc:
             row = [name, solver, pre, f"{timeout_s:.6f}", "timeout", *size]
             return row + _counter_cells(exc.stats)
-        except Exception:  # includes FixpointBudgetError
+        except Exception:
             return [name, solver, pre, "", "error", *size, "", "", "", ""]
         times.append(time.perf_counter() - t0)
     mean = sum(times) / len(times)

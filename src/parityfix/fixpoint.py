@@ -19,14 +19,6 @@ from .game import ParityGame, Player, SolveTimeoutError, _deadline
 VertexSet = FrozenSet[int]
 
 
-class FixpointBudgetError(Exception):
-    """The body-evaluation budget ran out before convergence."""
-
-    def __init__(self, iterations: int):
-        self.iterations = iterations
-        super().__init__(f"fixpoint evaluation exceeded {iterations} body evaluations")
-
-
 def universe(game: ParityGame) -> VertexSet:
     return frozenset(range(game.n))
 
@@ -46,7 +38,6 @@ class FixpointTrace:
 def bfl_win0(
     game: ParityGame,
     *,
-    budget: int = 10**8,
     timeout_s: float | None = None,
     trace: FixpointTrace | None = None,
 ) -> VertexSet:
@@ -77,8 +68,6 @@ def bfl_win0(
     def body() -> VertexSet:
         nonlocal evals
         evals += 1
-        if evals > budget:
-            raise FixpointBudgetError(budget)
         if deadline is not None and evals % 256 == 0 and time.perf_counter() > deadline:
             raise SolveTimeoutError("fixpoint evaluation timed out")
         if trace is not None:

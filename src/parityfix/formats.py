@@ -8,6 +8,12 @@ order of appearance and preserved as ``original_id``.
 Solution files: an optional ``paritysol <max-id>;`` header followed by
 ``<id> <winner-bit>( <strategy-id>)?;`` per vertex.
 
+Every number (id, priority, bit, max-id) is a run of ASCII digits
+``[0-9]+`` whose value is below 2**63: numbers are int64 throughout, and a
+larger one raises ``ParseError`` at its first digit.  The array reader
+below reads runs of at most 18 digits, so a 19-digit number in range goes
+through the line scanner.
+
 Both ``\\n`` and ``\\r\\n`` line endings are accepted; output always uses
 ``\\n``.  The header's max-id is advisory only; the true vertex set comes
 from the records.  An empty game serializes to an empty file since there
@@ -48,11 +54,12 @@ from .game import (
     _repeated_edge,
 )
 
-_INT = re.compile(r"\d+")
+_INT = re.compile(r"[0-9]+")
+_INT_MAX = 2**63 - 1  # every number is an int64
 _LABEL = re.compile(r'"([^"]*)"')
 
 # The header, on the first non-blank line, ends where the array reader starts.
-_HEADER = re.compile(rb"(?:[ \t]*\r?\n)*[ \t]*parity[ \t]*[0-9]+[ \t]*;[ \t]*\r?$", re.M)
+_HEADER = re.compile(rb"(?:[ \t]*\r?\n)*[ \t]*parity[ \t]*[0-9]{1,18}[ \t]*;[ \t]*\r?$", re.M)
 
 _BLOCK = 1 << 16  # bytes per block of the array reader, cut at a line end
 _CHUNK = 1 << 12  # lines per chunk of ``write_solution``
@@ -120,8 +127,11 @@ class _LineScanner:
         m = _INT.match(self.text, self.pos)
         if not m:
             self.fail(f"expected {what}")
+        value = int(m.group())
+        if value > _INT_MAX:
+            self.fail(f"{what} {value} is out of range (above {_INT_MAX})")
         self.pos = m.end()
-        return int(m.group())
+        return value
 
     def take_char(self, ch: str) -> None:
         self.skip_ws()
@@ -455,7 +465,7 @@ def parse_solution(text: str | bytes, game: ParityGame) -> Solution:
         if bit not in (0, 1):
             sc.fail("winner bit must be 0 or 1")
         winner[v] = Player(bit)
-        if sc.peek().isdigit():
+        if "0" <= sc.peek() <= "9":  # an ASCII digit; peek gives "" at the end
             sid = sc.take_int("strategy id")
             if sid not in index_of:
                 sc.fail(f"unknown strategy target id {sid}")

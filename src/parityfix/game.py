@@ -97,27 +97,6 @@ def _positions(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.nda
     return pos, bounds
 
 
-def _naturals(values: Sequence[int] | np.ndarray, what: str) -> np.ndarray:
-    """``values`` as int64 values, or as Python ints in an object array when
-    one of them is beyond int64; ``ValueError`` names the first entry that
-    is not a nonnegative integer."""
-    a = np.asarray(values)
-    # unsigned arrays take the loop: numpy 1.x compares uint64 with int as float64
-    if a.ndim == 1 and a.dtype.kind in "bi" and (not a.size or a.min() >= 0):
-        return a.astype(np.int64)
-    for v, x in enumerate(values.tolist() if isinstance(values, np.ndarray) else values):
-        if not (isinstance(x, (int, np.integer)) and x >= 0):
-            raise ValueError(f"{what} of vertex {v} is {x!r}, not a nonnegative integer")
-    return np.array([int(x) for x in values], dtype=object)
-
-
-def _narrow(a: np.ndarray) -> np.ndarray:
-    """An object array of Python ints as int64 values when they all fit."""
-    if a.dtype == object and (not a.size or a.max() <= 2**63 - 1):
-        return a.astype(np.int64)
-    return a
-
-
 def _first_repeat(keys: np.ndarray) -> int:
     """The first index whose key equals an earlier index's key, or -1."""
     order = np.argsort(keys, kind="stable")
@@ -136,28 +115,48 @@ def _repeated_edge(indptr: np.ndarray, targets: np.ndarray) -> int:
     return _first_repeat(keys)
 
 
+def _vertex_array(
+    values: Sequence[int] | np.ndarray, what: str, low: int, high: int, dtype: type = np.int64
+) -> np.ndarray:
+    """``values``, one per vertex, as a new ``dtype`` array, or
+    ``ValueError`` naming the first entry that is not an integer in
+    ``low..high-1``.  Every per-vertex input of a game or a solution is
+    converted here."""
+    a = np.asarray(values)
+    if a.ndim == 1 and (
+        not a.size or a.dtype.kind in "biu" and low <= int(a.min()) and int(a.max()) < high
+    ):
+        return a.astype(dtype)
+    items = values.tolist() if isinstance(values, np.ndarray) else values
+    for v, x in enumerate(items):
+        if not (isinstance(x, (int, np.integer)) and low <= x < high):
+            raise ValueError(f"{what} of vertex {v} is {x!r}, not in {low}..{high - 1}")
+    return np.array([int(x) for x in items], dtype=dtype)  # e.g. int64 and uint64 mixed
+
+
 class ParityGame:
     """Immutable indexed parity game, stored as arrays over its vertices.
 
     ``_store`` sets them all: ``_priority`` and ``_ids`` (the original ids)
-    hold int64 values, or Python ints in an object array when one of them
-    is beyond int64; ``_owner_bits`` and ``_parity_bits`` hold uint8 bits;
+    hold int64 values; ``_owner_bits`` and ``_parity_bits`` hold uint8 bits;
     ``_csr`` is (indptr int64, targets int32, the edge source's owner bit)
     with each successor list in stored order, which solvers use for
     deterministic tie-breaking; ``label`` is a tuple.  ``priority``,
     ``owner`` (of ``Player``), ``original_id``, ``successors`` and
     ``predecessors`` are tuple views of the arrays, built on first read.
 
-    The constructor refuses, with ``ValueError``, lengths that differ, an
-    owner that is not a player, and a priority or original id that is not a
-    nonnegative integer or an id that repeats; it raises the
-    ``SinkVertexError`` or ``DanglingEdgeError`` (a target that is not an
-    integer in ``0..n-1``) of the first such vertex, and then the
-    ``DuplicateEdgeError`` of the first edge, in stored order, that repeats
-    an earlier edge of its vertex.  So every game is valid: each vertex has
-    a successor and each edge is stored once.  The reader builds games from
-    checked arrays (``_from_csr``), and the sort and the reductions through
-    ``_subgame``.
+    The constructor converts owners, priorities and original ids with
+    ``_vertex_array``, the one conversion of per-vertex input, which the
+    ``Solution`` constructor shares.  It refuses, with ``ValueError``,
+    lengths that differ, an owner that is not 0 or 1 (a ``Player`` is one),
+    a priority or original id that is not an integer in ``0..2**63-1``, and
+    an id that repeats.  It raises the ``SinkVertexError`` or
+    ``DanglingEdgeError`` (a target that is not an integer in ``0..n-1``)
+    of the first such vertex, and then the ``DuplicateEdgeError`` of the
+    first edge, in stored order, that repeats an earlier edge of its vertex.
+    So every game is valid: each vertex has a successor and each edge is
+    stored once.  The reader builds games from checked arrays
+    (``_from_csr``), and the sort and the reductions through ``_subgame``.
     """
 
     def __init__(
@@ -173,13 +172,11 @@ class ParityGame:
             raise ValueError("priority, owner, successors, original_id and label differ in length")
         if n >= 2**31:
             raise ValueError("games this large are not supported")
-        try:
-            owner_bits = np.fromiter(map(_PLAYER.__getitem__, owner), dtype=np.uint8, count=n)
-        except (KeyError, TypeError):  # Player raises the ValueError
-            owner_bits = np.fromiter(map(Player, owner), dtype=np.uint8, count=n)
+        owner_bits = _vertex_array(owner, "owner", 0, 2, np.uint8)
+        priority = _vertex_array(priority, "priority", 0, 2**63)
         ids = np.arange(n, dtype=np.int64)
         if original_id is not None:
-            ids = _naturals(original_id, "original_id")
+            ids = _vertex_array(original_id, "original_id", 0, 2**63)
             if (v := _first_repeat(ids)) >= 0:
                 first = np.flatnonzero(ids == ids[v])[0]
                 raise ValueError(f"original_id of vertex {v} is {ids[v]}, the id of vertex {first}")
@@ -203,14 +200,8 @@ class ParityGame:
         if (e := _repeated_edge(indptr, targets)) >= 0:
             v = int(np.searchsorted(indptr, e, side="right")) - 1
             raise DuplicateEdgeError(v, int(targets[e]))
-        self._store(
-            _naturals(priority, "priority"),
-            owner_bits,
-            indptr,
-            targets,
-            ids,
-            (None,) * n if label is None else label,
-        )
+        label = (None,) * n if label is None else label
+        self._store(priority, owner_bits, indptr, targets, ids, label)
 
     @classmethod
     def _from_csr(cls, *arrays) -> "ParityGame":
@@ -230,11 +221,11 @@ class ParityGame:
         label: Sequence[str | None],
     ) -> None:
         """Set the arrays that hold the game, read-only; the one place that does."""
-        self._priority = _narrow(priority)
+        self._priority = priority
         self._parity_bits = (self._priority & 1).astype(np.uint8)
         self._owner_bits = owner
         self._csr = indptr, targets, np.repeat(owner, np.diff(indptr))
-        self._ids = _narrow(ids)
+        self._ids = ids
         self.label = tuple(label)
         for a in (self._priority, self._parity_bits, self._owner_bits, self._ids, *self._csr):
             a.flags.writeable = False
@@ -320,22 +311,6 @@ class ParityGame:
         return f"ParityGame(n={self.n}, edges={self.edge_count}, d={self.max_priority})"
 
 
-def _vertex_array(
-    values: Sequence[int] | np.ndarray, what: str, low: int, high: int, dtype: type = np.int64
-) -> np.ndarray:
-    """``values`` as a new ``dtype`` array, or ``ValueError`` naming the
-    first entry that is not an integer in ``low..high-1``."""
-    a = np.asarray(values)
-    if a.ndim == 1 and (
-        not a.size or a.dtype.kind in "biu" and low <= int(a.min()) and int(a.max()) < high
-    ):
-        return a.astype(dtype)
-    for v, x in enumerate(values.tolist() if isinstance(values, np.ndarray) else values):
-        if not (isinstance(x, (int, np.integer)) and low <= x < high):
-            raise ValueError(f"{what} of vertex {v} is {x!r}, not in {low}..{high - 1}")
-    raise ValueError(f"{what}s must be one integer per vertex")
-
-
 class Solution:
     """Winning regions and positional strategies for one game.
 
@@ -347,7 +322,9 @@ class Solution:
     ``None`` per vertex) are tuple views of them, built on first read.
 
     The constructor takes either form: arrays as stored, or sequences of
-    players and of successors or ``None``.  It raises ``ValueError`` for a
+    players and of successors or ``None``, both converted by
+    ``_vertex_array``, the game constructor's one conversion of per-vertex
+    input, to the uint8 and int64 arrays.  It raises ``ValueError`` for a
     winner other than 0 or 1, a strategy target outside ``0..n-1`` (for an
     array, other than -1), a non-integer entry, or a strategy whose length
     differs from the winners'.  Solutions compare by value and are not

@@ -35,9 +35,10 @@ class SplitMix64:
         return z ^ (z >> 31)
 
     def below(self, bound: int) -> int:
-        """Uniform draw from [0, bound), unbiased via rejection."""
-        if bound < 1:
-            raise ValueError("bound must be positive")
+        """Uniform draw from [0, bound), unbiased via rejection; ``bound``
+        is at most 2**64, the range of one draw."""
+        if not 1 <= bound <= 1 << 64:
+            raise ValueError(f"bound must be in 1..2**64, got {bound}")
         limit = (1 << 64) - ((1 << 64) % bound)
         while True:
             x = self.next_u64()
@@ -74,8 +75,8 @@ class GenParams:
     def __post_init__(self):
         if self.n < 1:
             raise InvalidParamsError("n must be >= 1")
-        if self.max_priority < 0:
-            raise InvalidParamsError("max_priority must be >= 0")
+        if not 0 <= self.max_priority < 2**63:
+            raise InvalidParamsError("max_priority must be in 0..2**63-1")
         if self.outdegree_lo < 1:
             raise InvalidParamsError("outdegree lower bound must be >= 1")
         if self.outdegree_hi < self.outdegree_lo:

@@ -37,7 +37,7 @@ Its state is one flags word and one int32 strategy slot per vertex.  A
 flags word holds, from the top bit down, the estimated winner bit (parity
 ^ z), the dirty bit and a freeze field with the freezing level's index + 1
 (0: not frozen).  The evaluators read winner bits straight off the words,
-and z is recovered as ``winner ^ parity`` at the end.  At a level of parity
+and so do the final winners; z is ``winner ^ parity``.  At a level of parity
 alpha the vertices to evaluate are exactly those whose word equals
 ``alpha << top | dirty``: won by alpha (so not in Z), dirty and unfrozen.
 
@@ -114,17 +114,12 @@ class SolverStats:
 
 @dataclass(frozen=True, eq=False)
 class DfiOutcome:
-    """Solution plus run metadata, all in the caller's vertex order except
-    ``sorted_game``, the game in the solver's priority-sorted order, and
-    ``permutation``, its ``to_parent`` map of ``sort_by_priority``: a
-    read-only int64 array whose entry ``i`` is the caller's index of sorted
-    vertex ``i``."""
+    """Solution, in the caller's vertex order, and the run's counters.  The
+    final distractions are the vertices not won by the player of their
+    priority's parity."""
 
     solution: Solution
     stats: SolverStats
-    distractions: frozenset[int]
-    sorted_game: ParityGame
-    permutation: np.ndarray
 
 
 def _check_deadline(deadline: float | None) -> None:
@@ -365,15 +360,14 @@ def _dfi(game, deadline, stats, freeze):
             if lo and freeze:
                 thaw(li, lo)
             li += 1
-    z = ((flags >> wshift).astype(np.uint8) ^ parb).tobytes()
-    return z, st
+    return (flags >> wshift).astype(np.uint8), st
 
 
 # ---------------------------------------------------------------- driver
 
 
 def solve_detailed(game: ParityGame, options: SolverOptions | None = None) -> DfiOutcome:
-    """Full solve with stats and the final distraction set.
+    """Full solve with stats.
 
     The input is sorted by priority internally when needed; all results are
     reported in the input's vertex order.  A ``SolveTimeoutError`` carries
@@ -387,7 +381,7 @@ def solve_detailed(game: ParityGame, options: SolverOptions | None = None) -> Df
 
     freeze = opts.mode == "freezing"
     try:
-        z, st = _dfi(sorted_game, deadline, stats, freeze)
+        won, st = _dfi(sorted_game, deadline, stats, freeze)
     except SolveTimeoutError as exc:
         stats.wall_time_s = time.perf_counter() - t0
         exc.stats = stats
@@ -395,8 +389,6 @@ def solve_detailed(game: ParityGame, options: SolverOptions | None = None) -> Df
     stats.wall_time_s = time.perf_counter() - t0
 
     # the results in sorted order, scattered into the input's order
-    zbits = np.frombuffer(z, dtype=np.uint8)
-    won = sorted_game._parity_bits ^ zbits
     win = np.empty(len(won), dtype=np.uint8)
     win[to_parent] = won
     choice = np.full(len(won), -1, dtype=np.int64)
@@ -404,8 +396,7 @@ def solve_detailed(game: ParityGame, options: SolverOptions | None = None) -> Df
         strat = np.frombuffer(st, dtype=np.int32)
         chosen = np.flatnonzero((sorted_game._owner_bits == won) & (strat >= 0))
         choice[to_parent[chosen]] = to_parent[strat[chosen]]
-    distractions = frozenset(to_parent[zbits != 0].tolist())
-    return DfiOutcome(Solution(win, choice), stats, distractions, sorted_game, to_parent)
+    return DfiOutcome(Solution(win, choice), stats)
 
 
 def solve(game: ParityGame, options: SolverOptions | None = None) -> Solution:

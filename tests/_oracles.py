@@ -289,7 +289,6 @@ class LoopStats:
 class LoopOutcome:
     solution: pf.Solution
     stats: LoopStats
-    distractions: frozenset[int]
 
 
 def freezing_loop(game, hooks, stats):
@@ -297,7 +296,7 @@ def freezing_loop(game, hooks, stats):
 
     Every pass evaluates every unfrozen non-Z vertex of its level, and every
     freeze, reset and thaw walks all lower vertices.  The production engine
-    must reproduce its distractions, strategies and pass, addition, reset
+    must reproduce its winners, strategies and pass, addition, reset
     and freeze counts.  Returns the z bytes and the strategy slots.
     """
     n = game.n
@@ -391,8 +390,7 @@ def reference_freezing(game: pf.ParityGame, hooks: FreezingEvents | None = None)
         w = par[s] ^ z[s]
         winner.append(pf.Player(w))
         strategy.append(bwd[st[s]] if own[s] == w and st[s] >= 0 else None)
-    distractions = frozenset(bwd[s] for s in range(game.n) if z[s])
-    return LoopOutcome(pf.Solution(tuple(winner), tuple(strategy)), stats, distractions)
+    return LoopOutcome(pf.Solution(tuple(winner), tuple(strategy)), stats)
 
 
 def basic_loop(game, stats):
@@ -400,7 +398,7 @@ def basic_loop(game, stats):
 
     Every pass evaluates every non-Z vertex of its level, and every reset
     clears all lower distractions.  The production kernel must reproduce its
-    distractions and pass, addition and reset counts.  Returns the z bytes.
+    winners and pass, addition and reset counts.  Returns the z bytes.
     """
     n = game.n
     succ = game.successors
@@ -448,10 +446,9 @@ def reference_basic(game: pf.ParityGame) -> LoopOutcome:
     stats = LoopStats()
     z = basic_loop(sorted_game, stats)
     par = [p & 1 for p in sorted_game.priority]
-    fwd, bwd = forward_map(to_parent), to_parent.tolist()
+    fwd = forward_map(to_parent)
     winner = tuple(pf.Player(par[fwd[v]] ^ z[fwd[v]]) for v in range(game.n))
-    distractions = frozenset(bwd[s] for s in range(game.n) if z[s])
-    return LoopOutcome(pf.Solution(winner, (None,) * game.n), stats, distractions)
+    return LoopOutcome(pf.Solution(winner, (None,) * game.n), stats)
 
 
 def _cyclic_components(

@@ -1,4 +1,3 @@
-import pytest
 from hypothesis import given, settings, strategies as st
 
 import parityfix as pf
@@ -22,10 +21,6 @@ class TestNestedFixpoint:
 
     def test_empty_game(self):
         assert pf.bfl_win0(pf.ParityGame([], [], [])) == frozenset()
-
-    def test_budget_exhaustion(self, g2):
-        with pytest.raises(pf.FixpointBudgetError):
-            pf.bfl_win0(g2, budget=2)
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 10**9))

@@ -91,6 +91,35 @@ class TestParseGame:
     def test_empty_label_is_not_no_label(self):
         assert pf.parse_pgsolver('0 2 1 0 "";').label == ("",)
 
+    @pytest.mark.parametrize(
+        "text, column, what",
+        [
+            (f"0 {2**63} 0 0;\n", 3, "priority"),
+            (f"{2**63} 1 0 {2**63};\n", 1, "vertex id"),
+            (f"0 1 0 0,{2**64};\n", 9, "successor id"),
+            (f"0 1 {2**70} 0;\n", 5, "owner bit"),
+            (f"parity {2**63};\n0 1 0 0;\n", 8, "max vertex id"),
+        ],
+    )
+    def test_numbers_beyond_int64(self, text, column, what):
+        # such numbers reached the constructor, which kept them in object arrays
+        with pytest.raises(pf.ParseError, match=f"^line 1, column {column}: {what} .* out of range"):
+            pf.parse_pgsolver(text)
+
+    def test_int64_max_goes_through_line_scanner(self):
+        top = 2**63 - 1
+        text = f"parity {top};\n{top} {top} 0 {top};\n"
+        assert _read(text) is None
+        game = pf.parse_pgsolver(text)
+        assert game.priority == (top,) and game.original_id == (top,)
+        assert game._priority.dtype == game._ids.dtype == np.int64
+
+    @pytest.mark.parametrize("digit", ["\u0661", "\u0967", "\uff11", "\u00b9"])
+    def test_digits_are_ascii(self, digit):
+        # Arabic-Indic and other Unicode digits were read as numbers
+        with pytest.raises(pf.ParseError, match="^line 1, column 3: expected priority$"):
+            pf.parse_pgsolver(f"0 {digit} 0 0;\n")
+
 
 _WS = st.sampled_from(["", " ", "\t", " \t", "  "])
 _SEP = st.sampled_from([" ", "\t", "  ", "\t "])
@@ -244,6 +273,7 @@ class TestWholeTextReader:
         "text, read",
         [
             ("1234567890123456789 0 0 1234567890123456789;", False),
+            ("parity 1234567890123456789;\n0 0 0 0;", False),
             ("123456789012345678 0 0 123456789012345678;", True),
             (f"0 0 0 {2**40};", False),
             ("0 0 0 0;\r", True),
@@ -352,6 +382,15 @@ class TestSolutionFormat:
     def test_parse_solution_requires_totality(self, g1):
         with pytest.raises(pf.ParseError):
             pf.parse_solution("paritysol 1;\n0 0 1;", g1)
+
+    def test_parse_solution_digits_are_ascii(self, g1):
+        for text in ("0 0 \u0661;\n1 0;\n", "0 \u0661;\n1 0;\n"):
+            with pytest.raises(pf.ParseError) as err:
+                pf.parse_solution(text, g1)
+            assert err.value.line == 1
+        # at the end of a line the strategy test sees no digit, and ';' is missing
+        with pytest.raises(pf.ParseError, match="^line 1, column 4: expected ';'$"):
+            pf.parse_solution("0 0\n1 0;\n", g1)
 
     def test_parse_solution_unknown_id(self, g1):
         with pytest.raises(pf.ParseError):

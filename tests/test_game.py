@@ -27,9 +27,11 @@ class TestPlayer:
 
 
 class TestConstructor:
-    @pytest.mark.parametrize("owner", [2, -1, "x", [1]])
+    @pytest.mark.parametrize("owner", [2, -1, "x", [1], 1.0])
     def test_owner_must_be_a_player(self, owner):
-        with pytest.raises(ValueError):
+        # 1.0 was refused as a priority but taken as Odd for an owner
+        message = rf"^owner of vertex 0 is {re.escape(repr(owner))}, not in 0\.\.1$"
+        with pytest.raises(ValueError, match=message):
             pf.ParityGame([0], [owner], [[0]])
 
     @pytest.mark.parametrize("owner", [pf.Player.ODD, 1, True])
@@ -39,21 +41,22 @@ class TestConstructor:
     @pytest.mark.parametrize("priority", [1.5, -1, "3", None, 2**64 + 0.5])
     def test_priority_must_be_a_nonnegative_integer(self, priority):
         # 1.5 and "3" were read as 1 and 3
-        message = rf"^priority of vertex 1 is {re.escape(repr(priority))}, not a nonnegative"
+        message = rf"^priority of vertex 1 is {re.escape(repr(priority))}, not in 0\.\.{2**63 - 1}$"
         with pytest.raises(ValueError, match=message):
             pf.ParityGame([0, priority], [0, 0], [[1], [0]])
 
     @pytest.mark.parametrize("vertex_id", [-3, 7.5, "7"])
     def test_original_id_must_be_a_nonnegative_integer(self, vertex_id):
         # -3 was written as a record that no reader accepts
-        message = rf"^original_id of vertex 0 is {re.escape(repr(vertex_id))}, not a nonnegative"
+        value = re.escape(repr(vertex_id))
+        message = rf"^original_id of vertex 0 is {value}, not in 0\.\.{2**63 - 1}$"
         with pytest.raises(ValueError, match=message):
             pf.ParityGame([0, 0], [0, 0], [[1], [0]], original_id=[vertex_id, 4])
 
     def test_original_ids_must_be_distinct(self):
         # a repeated id was written as two records of one vertex id
         with pytest.raises(ValueError, match="^original_id of vertex 2 is 7, the id of vertex 0$"):
-            pf.ParityGame([0, 0, 0], [0, 0, 0], [[1], [2], [0]], original_id=[7, 2**70, 7])
+            pf.ParityGame([0, 0, 0], [0, 0, 0], [[1], [2], [0]], original_id=[7, 2**63 - 1, 7])
 
     @pytest.mark.parametrize("target", [0.9, "0", None, 1.0])
     def test_target_must_be_an_integer(self, target):
@@ -62,11 +65,22 @@ class TestConstructor:
         with pytest.raises(pf.DanglingEdgeError, match=message):
             pf.ParityGame([0, 0], [0, 0], [[1], [0, target]])
 
-    def test_wide_values_are_python_ints_in_object_arrays(self):
-        game = pf.ParityGame([2**70, 1], [0, 1], [[1], [0]], original_id=[2**64, 3])
-        assert game._priority.dtype == object and game._ids.dtype == object
-        assert game.priority == (2**70, 1) and game.original_id == (2**64, 3)
-        assert pf.parse_pgsolver(pf.write_pgsolver(game)).original_id == (3, 2**64)
+    def test_values_beyond_int64_are_refused(self):
+        # such numbers were kept as Python ints in object arrays
+        for value in (2**63, 2**64, 2**70):
+            message = rf"^priority of vertex 0 is {value}, not in 0\.\.{2**63 - 1}$"
+            with pytest.raises(ValueError, match=message):
+                pf.ParityGame([value, 1], [0, 1], [[1], [0]])
+            message = rf"^original_id of vertex 1 is {value}, not in 0\.\.{2**63 - 1}$"
+            with pytest.raises(ValueError, match=message):
+                pf.ParityGame([0, 1], [0, 1], [[1], [0]], original_id=[3, value])
+
+    def test_int64_max_is_stored_as_int64(self):
+        top = 2**63 - 1
+        game = pf.ParityGame([top, 1], [0, 1], [[1], [0]], original_id=[top, 3])
+        assert game._priority.dtype == game._ids.dtype == np.int64
+        assert game.priority == (top, 1) and game.original_id == (top, 3)
+        assert pf.parse_pgsolver(pf.write_pgsolver(game)).original_id == (3, top)
 
 
 class TestSolution:
@@ -267,10 +281,11 @@ class TestSortArrays:
         for a, b in zip((*got._csr, got._owner_bits), (*want._csr, want._owner_bits)):
             assert a.dtype == b.dtype and np.array_equal(a, b)
 
-    def test_priorities_beyond_64_bits(self):
-        game = pf.ParityGame([2**70, 1, 2**64], [0, 1, 0], [[1], [2], [0]])
+    def test_priorities_up_to_int64_max(self):
+        game = pf.ParityGame([2**63 - 1, 1, 2**62], [0, 1, 0], [[1], [2], [0]])
         sorted_game, to_parent = pf.sort_by_priority(game)
-        assert sorted_game.priority == (1, 2**64, 2**70)
+        assert sorted_game.priority == (1, 2**62, 2**63 - 1)
+        assert sorted_game._priority.dtype == np.int64
         assert to_parent.tolist() == [1, 2, 0]
         assert sorted_game.successors == ((1,), (2,), (0,))
 
@@ -337,14 +352,14 @@ class TestStorage:
     @given(st.integers(0, 10**9), st.booleans())
     def test_constructor_rebuilds_derived_games(self, seed, wide):
         # the reader, the sort and the reductions store what the constructor
-        # stores for the same game
+        # stores for the same game, priorities and ids as int64
         game = seeded_game(seed, max_n=120, max_d=8, self_loop=0.3)
-        if wide:  # priorities and ids beyond int64, and labels
+        if wide:  # priorities and ids up to the int64 maximum, and labels
             game = pf.ParityGame(
-                [p * 2**62 + (p & 1) for p in game.priority],
+                [p * 2**59 + (p & 1) for p in game.priority],
                 game.owner,
                 game.successors,
-                original_id=[2**64 - 5 * v for v in range(game.n)],
+                original_id=[2**63 - 1 - 5 * v for v in range(game.n)],
                 label=[f"v{v}" if v % 3 else None for v in range(game.n)],
             )
         parsed = pf.parse_pgsolver(pf.write_pgsolver(game))
@@ -352,6 +367,7 @@ class TestStorage:
         _, residual = pf.winner_controlled_cycles(loopless)
         sorted_games = [pf.sort_by_priority(g)[0] for g in (parsed, residual)]
         for g in (parsed, loopless, residual, *sorted_games):
+            assert g._priority.dtype == g._ids.dtype == np.int64
             rebuilt = pf.ParityGame(g.priority, g.owner, g.successors, g.original_id, g.label)
             for a, b in zip(_stored(g), _stored(rebuilt)):
                 assert a.dtype == b.dtype and np.array_equal(a, b)

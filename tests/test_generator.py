@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -23,6 +24,14 @@ class TestSplitMix64:
             for _ in range(50):
                 assert 0 <= rng.below(bound) < bound
 
+    def test_below_takes_bounds_up_to_2_pow_64(self):
+        # a larger bound made the rejection limit 0, and the draw loop endless
+        for bound in (0, 2**64 + 1, 2**65):
+            with pytest.raises(ValueError, match="bound must be in 1..2\\*\\*64"):
+                pf.SplitMix64(3).below(bound)
+        # a bound of 2**64 takes every draw as it is
+        assert pf.SplitMix64(3).below(2**64) == pf.SplitMix64(3).next_u64()
+
     def test_sample_distinct(self):
         rng = pf.SplitMix64(5)
         for _ in range(100):
@@ -45,6 +54,13 @@ class TestParams:
             pf.GenParams(n=5, max_priority=-1)
         with pytest.raises(pf.InvalidParamsError):
             pf.GenParams(n=5, max_priority=1, self_loop_probability=1.5)
+
+    def test_max_priority_is_an_int64(self):
+        # a game with a larger priority is refused by the constructor
+        with pytest.raises(pf.InvalidParamsError, match="max_priority"):
+            pf.GenParams(n=3, max_priority=2**63)
+        game = pf.random_game(pf.GenParams(n=3, max_priority=2**63 - 1, seed=1))
+        assert game._priority.dtype == np.int64 and game.max_priority < 2**63
 
 
 class TestRandomGame:

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 import parityfix as pf
 from parityfix import Player, preprocess
+from parityfix import solver as solver_module
 
 from _oracles import (
     reference_first_error,
@@ -269,11 +270,19 @@ def test_cycles_match_scc_reference(seed):
 _VIEWS = {"priority", "owner", "original_id", "successors", "predecessors"}
 
 
-def test_derived_games_build_no_successor_tuples():
+def test_derived_games_build_no_successor_tuples(monkeypatch):
     """From parse to write, the pipeline reads the arrays of the parsed game
     and of both reductions' games, and builds none of their tuple views; only
     the sorted residual holds the successor and predecessor tuples that the
     kernel reads."""
+    kernel_games = []
+    kernel = solver_module._dfi
+
+    def recording_kernel(game, *args):
+        kernel_games.append(game)
+        return kernel(game, *args)
+
+    monkeypatch.setattr(solver_module, "_dfi", recording_kernel)
     source = pf.random_game(pf.GenParams(n=500, max_priority=6, self_loop_probability=0.05, seed=1))
     game = pf.parse_pgsolver(pf.write_pgsolver(source))
     loop_partial, loopless = pf.eliminate_self_loops(game)
@@ -284,8 +293,9 @@ def test_derived_games_build_no_successor_tuples():
     assert pf.verify(game, solution).ok
     text = pf.write_solution(game, solution)
     assert 0 < residual.n < loopless.n < game.n
-    assert outcome.sorted_game is not residual
+    [sorted_game] = kernel_games
+    assert sorted_game is not residual
     for derived in (game, loopless, residual):
         assert not _VIEWS & vars(derived).keys()
-    assert _VIEWS & vars(outcome.sorted_game).keys() <= {"successors", "predecessors"}
+    assert _VIEWS & vars(sorted_game).keys() <= {"successors", "predecessors"}
     assert text == pf.write_solution(source, solution)
