@@ -2,7 +2,7 @@
 
 Public surface: the game model, PGSolver-format I/O, the fixpoint solver
 (region-only and strategy-computing variants), two independent oracle
-solvers, a solution verifier, preprocessing reductions, a seeded game
+solvers, a solution verifier, a preprocessing reduction, a seeded game
 generator, and a CLI (``parityfix``).
 """
 
@@ -34,7 +34,6 @@ from .preprocess import (
     PartialSolution,
     apply_preprocessing,
     compose_solution,
-    eliminate_self_loops,
     winner_controlled_cycles,
 )
 from .solver import (
@@ -86,7 +85,6 @@ __all__ = [
     "FixpointTrace",
     "bfl_win0",
     "PartialSolution",
-    "eliminate_self_loops",
     "winner_controlled_cycles",
     "apply_preprocessing",
     "compose_solution",

@@ -55,6 +55,7 @@ from .game import (
 )
 
 _INT = re.compile(r"[0-9]+")
+_WORD = re.compile(r"[A-Za-z]+")
 _INT_MAX = 2**63 - 1  # every number is an int64
 _LABEL = re.compile(r'"([^"]*)"')
 
@@ -100,15 +101,23 @@ class DuplicateVertexIdError(ParseError):
 
 
 class _LineScanner:
-    """Cursor over one physical line with 1-based column error reporting."""
+    """Cursor over one physical line with 1-based column error reporting.
+
+    ``number_at`` is where the last number taken starts, so that an error
+    about its value points at its first digit.
+    """
 
     def __init__(self, text: str, lineno: int):
         self.text = text
         self.lineno = lineno
         self.pos = 0
+        self.number_at = 0
 
     def fail(self, message: str):
         raise ParseError(self.lineno, self.pos + 1, message)
+
+    def fail_number(self, message: str):
+        raise ParseError(self.lineno, self.number_at + 1, message)
 
     def skip_ws(self) -> None:
         while self.pos < len(self.text) and self.text[self.pos] in " \t":
@@ -128,8 +137,9 @@ class _LineScanner:
         if not m:
             self.fail(f"expected {what}")
         value = int(m.group())
+        self.number_at = m.start()
         if value > _INT_MAX:
-            self.fail(f"{what} {value} is out of range (above {_INT_MAX})")
+            self.fail_number(f"{what} {value} is out of range (above {_INT_MAX})")
         self.pos = m.end()
         return value
 
@@ -149,7 +159,7 @@ class _LineScanner:
 
     def take_word(self) -> str:
         self.skip_ws()
-        m = re.compile(r"[A-Za-z]+").match(self.text, self.pos)
+        m = _WORD.match(self.text, self.pos)
         if not m:
             self.fail("expected keyword")
         self.pos = m.end()
@@ -347,11 +357,11 @@ def _scan_pgsolver(text: str) -> ParityGame:
             continue
         vid = sc.take_int("vertex id")
         if vid in index_of:
-            raise DuplicateVertexIdError(lineno, 1, vid)
+            raise DuplicateVertexIdError(lineno, sc.number_at + 1, vid)
         priority = sc.take_int("priority")
         owner = sc.take_int("owner bit")
         if owner not in (0, 1):
-            sc.fail("owner bit must be 0 or 1")
+            sc.fail_number("owner bit must be 0 or 1")
         succ_ids = [sc.take_int("successor id")]
         while sc.peek() == ",":
             sc.take_char(",")
@@ -457,18 +467,18 @@ def parse_solution(text: str | bytes, game: ParityGame) -> Solution:
             continue
         vid = sc.take_int("vertex id")
         if vid not in index_of:
-            sc.fail(f"unknown vertex id {vid}")
+            sc.fail_number(f"unknown vertex id {vid}")
         v = index_of[vid]
         if winner[v] is not None:
-            sc.fail(f"vertex id {vid} assigned twice")
+            sc.fail_number(f"vertex id {vid} assigned twice")
         bit = sc.take_int("winner bit")
         if bit not in (0, 1):
-            sc.fail("winner bit must be 0 or 1")
+            sc.fail_number("winner bit must be 0 or 1")
         winner[v] = Player(bit)
         if "0" <= sc.peek() <= "9":  # an ASCII digit; peek gives "" at the end
             sid = sc.take_int("strategy id")
             if sid not in index_of:
-                sc.fail(f"unknown strategy target id {sid}")
+                sc.fail_number(f"unknown strategy target id {sid}")
             strategy[v] = index_of[sid]
         sc.take_char(";")
         if not sc.at_end():

@@ -156,7 +156,7 @@ class ParityGame:
     first edge, in stored order, that repeats an earlier edge of its vertex.
     So every game is valid: each vertex has a successor and each edge is
     stored once.  The reader builds games from checked arrays
-    (``_from_csr``), and the sort and the reductions through ``_subgame``.
+    (``_from_csr``), and the sort and the reduction through ``_subgame``.
     """
 
     def __init__(
@@ -383,14 +383,13 @@ class GameStats:
     avg_outdegree: float
 
 
-def _subgame(game: ParityGame, rows: np.ndarray, keep: np.ndarray | None = None) -> ParityGame:
+def _subgame(game: ParityGame, rows: np.ndarray) -> ParityGame:
     """The game on the parent vertices ``rows``, in that order.
 
-    Each successor list keeps, in stored order, its edges into ``rows`` that
-    ``keep`` (a mask over the parent's edges, when given) marks, renumbered
-    to the targets' places in ``rows``.  The caller makes sure that every
-    row keeps an edge.  Every derived game (the sort and both reductions)
-    is built here.
+    Each successor list keeps, in stored order, its edges into ``rows``,
+    renumbered to the targets' places in ``rows``.  The caller makes sure
+    that every row keeps an edge.  Every derived game (the sort and the
+    reduction) is built here.
     """
     indptr, targets, _ = game._csr
     child_index = np.full(game.n, -1, dtype=np.int32)
@@ -398,8 +397,6 @@ def _subgame(game: ParityGame, rows: np.ndarray, keep: np.ndarray | None = None)
     pos, bounds = _positions(indptr, rows)
     tg = child_index[targets[pos]]
     kept = tg >= 0
-    if keep is not None:
-        kept &= keep[pos]
     cut = np.zeros(len(pos) + 1, dtype=np.int64)
     np.cumsum(kept, out=cut[1:])
     return ParityGame._from_csr(

@@ -1,33 +1,46 @@
-"""Optional game reductions applied before solving.
+"""The game reduction applied before solving.
 
-Two passes: self-loop elimination and winner-controlled winning cycle
-detection.  Each decides a set of vertices outright (winner plus strategy)
-and returns a smaller residual game; solving the residual and composing
-gives exactly the solution of the original game.  Soundness comes from the
-decided regions being attractor-closed: the loser can never escape them,
-and every internal cycle favors the decided winner.
+One pass decides every cycle that a player controls and likes: the winner
+gets each decided vertex outright, with a strategy, and the pass returns a
+smaller residual game; solving the residual and composing gives a solution
+of the original game.  Soundness comes from the decided regions being
+attractor-closed: the loser can never escape them, and every internal
+cycle favors the decided winner.
 
-Both passes work on numpy arrays over the game's forward and reverse CSR.
+The pass works on numpy arrays over the game's forward and reverse CSR.
 The attractor grows its region layer by layer: an opponent vertex counts
 down its live out-degree and joins once that reaches zero, and an owner
 vertex joins with the first successor, in stored order, that was in the
-region before its layer.  Self-loop elimination runs one attractor per
-player, seeded with every loop of the owner's parity and every hostile
-loop without another live successor.  A hostile loop is not counted in
-its vertex's live out-degree, so a hostile loop that the attractor leaves
-stuck joins the attractor like any other cornered opponent vertex.  The
-two attractors are winning regions of different players, so they are
-disjoint, and the decided set is the one that deciding loop
-after loop would give.
+region before its layer.  In order:
 
-The cycle pass needs no SCC decomposition.  In the subgraph of a player's
-own vertices of their own parity, the vertices that cannot stay forever
-are the ones from which every path reaches a vertex with no successor
-inside; the same count-down attractor, run for the other player from
-those vertices, finds them.  The rest, and their attractor, are won.
-Residuals are built from the parent's arrays by ``game._subgame``, with no
-tuple view read.  Nothing here shares code with the oracles' per-vertex
-attractor and SCC search.
+1. Self-loops, the controlled cycles of length one.  Each player's
+   attractor is seeded with the loops of its parity whose owner is that
+   player (each one's choice is the loop) and with the vertices whose only
+   move is a hostile loop of its parity.  A hostile loop is not counted in
+   its vertex's live out-degree, so a hostile loop that the attractor
+   leaves stuck joins the attractor like any other cornered opponent
+   vertex.  The two attractors are winning regions of different players,
+   so they are disjoint, and the decided set is the one that deciding
+   loop after loop would give.
+2. Longer cycles, among the vertices left.  In the subgraph of a player's
+   own vertices of their own parity, the vertices that cannot stay
+   forever are the ones from which every path reaches a vertex with no
+   successor inside; the same count-down attractor, run for the other
+   player from those vertices, finds them.  The rest, each with its first
+   successor inside, and their attractor are won.  Seeding these with
+   the loops in one attractor per player would make the subgraphs scan
+   every vertex that the loops decide.
+3. The residual is built once from the parent's arrays by
+   ``game._subgame``, with no tuple view read.
+
+The residual keeps the hostile loops of its vertices.  The solver never
+takes one: DFI evaluates a vertex only while it is estimated won by the
+player of its priority's parity, which a hostile loop's owner is not, so
+the loop's target is never a winning successor for the owner.  The dirty
+mark that such a vertex puts on itself when it joins Z falls on a Z
+vertex, which is never selected.  So the solver does the same work with
+the loops as without them.  Nothing here shares code with the oracles'
+per-vertex attractor and SCC search.
 """
 
 from __future__ import annotations
@@ -128,69 +141,6 @@ def _attract(
     return np.concatenate(layers)
 
 
-def _extract(
-    game: ParityGame, alive: np.ndarray, keep: np.ndarray | None = None
-) -> tuple[ParityGame, np.ndarray]:
-    """The residual on ``alive`` and its ``to_parent`` map (``_subgame``),
-    keeping only the edges that ``keep``, a mask over the parent's edges,
-    marks when it is given; the game itself when nothing goes."""
-    to_parent = np.flatnonzero(alive)
-    if len(to_parent) == game.n and keep is None:
-        return game, to_parent
-    return _subgame(game, to_parent, keep), to_parent
-
-
-def _undecided(game: ParityGame) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Everything alive and undecided: (alive, degree, win, choice)."""
-    indptr = game._csr[0]
-    return (
-        np.ones(game.n, dtype=bool),
-        np.diff(indptr),
-        np.full(game.n, -1, dtype=np.int8),
-        np.full(game.n, -1, dtype=np.int64),
-    )
-
-
-def eliminate_self_loops(game: ParityGame) -> tuple[PartialSolution, ParityGame]:
-    """Decide or drop every self-loop; the residual is self-loop-free.
-
-    A loop whose priority parity matches the owner is an immediate win for
-    the owner (keep looping), and the owner's attractor of it is decided
-    along.  A loop of hostile parity is simply deleted when the vertex has
-    another live successor; when the loop is the only move left, the owner
-    is stuck and the parity's player wins, again with its attractor.  Either
-    way the loop's priority parity names the winner.  A hostile loop is
-    left out of its vertex's degree: when the player of the loop's parity
-    takes every other successor, the owner is stuck and the vertex joins
-    that player's attractor at once.  The owner's attractor never counts a
-    hostile loop's vertex down (it joins on any edge into the region), so
-    one attractor per player leaves no hostile loop stuck.
-    """
-    indptr, targets, _ = game._csr
-    sources = np.repeat(np.arange(game.n), np.diff(indptr))
-    looped = targets == sources
-    loopers = sources[looped]
-    par = game._parity_bits
-    alive, degree, win, choice = _undecided(game)
-    friendly = par[loopers] == game._owner_bits[loopers]
-    choice[loopers[friendly]] = loopers[friendly]
-    hostile = loopers[~friendly]
-    degree[hostile] -= 1
-    seeds = np.concatenate((loopers[friendly], hostile[degree[hostile] == 0]))
-    for beta in (0, 1):
-        mine = seeds[par[seeds] == beta]
-        if len(mine):
-            win[_attract(game, alive, degree, beta, mine, choice)] = beta
-    hostile = hostile[alive[hostile]]
-    keep = None
-    if len(hostile):  # the hostile loops of the live vertices go
-        dropped = np.zeros(game.n, dtype=bool)
-        dropped[hostile] = True
-        keep = ~(looped & dropped[sources])
-    residual, to_parent = _extract(game, alive, keep)
-    return PartialSolution(win, choice, to_parent), residual
-
-
 def _staying(game: ParityGame, mask: np.ndarray, player: int) -> np.ndarray:
     """The vertices of ``mask``, all owned by ``player``, that have an
     infinite path inside ``mask``.
@@ -211,38 +161,53 @@ def _staying(game: ParityGame, mask: np.ndarray, player: int) -> np.ndarray:
 
 
 def winner_controlled_cycles(game: ParityGame) -> tuple[PartialSolution, ParityGame]:
-    """Decide cycles a player fully controls and likes.
+    """Decide every cycle that a player controls and likes, with its
+    attractor, in one pass (steps 1-3 of the module docstring).
 
-    For each player, take the subgraph of vertices they own whose priority
-    parity is also theirs.  From every vertex with an infinite path inside
-    it the player wins outright (all priorities on such a play have the
-    winning parity), so those vertices are decided, each with its first
-    successor in stored order that keeps such a path, plus their
-    attractor.  This is deliberately conservative detection; intended for
-    self-loop-free input.
+    Returns the partial solution and the residual, which keeps the hostile
+    loops of its vertices.
     """
-    alive, degree, win, choice = _undecided(game)
-    own_parity = game._owner_bits == game._parity_bits
+    indptr, targets, _ = game._csr
+    owner, par = game._owner_bits, game._parity_bits
+    degree = np.diff(indptr)
+    # each loop's target is its source, and a game stores each edge once
+    loopers = targets[targets == np.repeat(np.arange(game.n), degree)]
+    alive = np.ones(game.n, dtype=bool)
+    win = np.full(game.n, -1, dtype=np.int8)
+    choice = np.full(game.n, -1, dtype=np.int64)
+    # 1. the loops; a hostile loop is left out of its vertex's degree
+    friendly = par[loopers] == owner[loopers]
+    choice[loopers[friendly]] = loopers[friendly]
+    hostile = loopers[~friendly]
+    degree[hostile] -= 1
+    seeds = np.concatenate((loopers[friendly], hostile[degree[hostile] == 0]))
     for beta in (0, 1):
-        mask = alive & own_parity & (game._owner_bits == beta)
+        mine = seeds[par[seeds] == beta]
+        if len(mine):
+            win[_attract(game, alive, degree, beta, mine, choice)] = beta
+    # 2. the longer cycles, among the vertices left
+    own_parity = owner == par
+    for beta in (0, 1):
+        mask = alive & own_parity & (owner == beta)
         if not mask.any():
             continue
-        seeds = _staying(game, mask, beta)
-        if not len(seeds):
+        mine = _staying(game, mask, beta)
+        if not len(mine):
             continue
         inside = np.zeros(game.n, dtype=bool)
-        inside[seeds] = True
-        choice[seeds] = _first_inside(game, inside, seeds)
-        win[_attract(game, alive, degree, beta, seeds, choice)] = beta
-    residual, to_parent = _extract(game, alive)
+        inside[mine] = True
+        choice[mine] = _first_inside(game, inside, mine)
+        win[_attract(game, alive, degree, beta, mine, choice)] = beta
+    # 3. the residual
+    to_parent = np.flatnonzero(alive)
+    residual = game if len(to_parent) == game.n else _subgame(game, to_parent)
     return PartialSolution(win, choice, to_parent), residual
 
 
 def apply_preprocessing(game: ParityGame) -> tuple[list[PartialSolution], ParityGame]:
-    """Run both reductions in order; returns the partials plus the residual."""
-    loop_partial, loopless = eliminate_self_loops(game)
-    cycle_partial, residual = winner_controlled_cycles(loopless)
-    return [loop_partial, cycle_partial], residual
+    """Run the reduction; returns its partial, in a list, and the residual."""
+    partial, residual = winner_controlled_cycles(game)
+    return [partial], residual
 
 
 def compose_solution(partials: list[PartialSolution], residual_solution: Solution) -> Solution:

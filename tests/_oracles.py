@@ -12,8 +12,10 @@ and runs Tarjan over every claimed vertex.  ``reference_first_error`` is
 the per-edge walk that names the error the game constructor raises.
 ``reference_winner_controlled_cycles`` is the cycle reduction by SCC
 decomposition, on ``sccs`` (iterative Tarjan, here since no production
-module reads it) and ``pf.attract``.  ``winner_of`` and
-``onestep`` are the one-step semantics of DFI on flag sets.
+module reads it) and ``pf.attract``; ``reference_controlled_cycles``
+chains it after ``sequential_self_loops``, one attractor per loop.
+``winner_of`` and ``onestep`` are the one-step semantics of DFI on flag
+sets.
 """
 
 from __future__ import annotations
@@ -116,14 +118,11 @@ def reachable(game: pf.ParityGame, start: int) -> frozenset[int]:
 def sequential_self_loops(game: pf.ParityGame):
     """Self-loop elimination one loop at a time, each with its own attractor.
 
-    Returns (winner, strategy, alive, dropped): the decided vertices' winners
-    and strategies, the undecided mask, and the loop vertices whose hostile
-    loop the residual drops.  Built on ``pf.attract``, not on the production
-    preprocessing.
+    Returns (winner, alive): the decided vertices' winners and the undecided
+    mask.  Built on ``pf.attract``, not on the production preprocessing.
     """
     alive = [True] * game.n
     winner: dict[int, pf.Player] = {}
-    strategy: dict[int, int] = {}
     loopers = [v for v in range(game.n) if v in game.successors[v]]
     changed = True
     while changed:
@@ -132,20 +131,14 @@ def sequential_self_loops(game: pf.ParityGame):
             if not alive[v]:
                 continue
             beta = pf.Player.of_parity(game.priority[v])
-            if beta is game.owner[v]:
-                region, strat = pf.attract(game, alive, beta, [v], prior_strategy={v: v})
-                strategy[v] = v
-            elif any(alive[u] for u in game.successors[v] if u != v):
+            if beta is not game.owner[v] and any(alive[u] for u in game.successors[v] if u != v):
                 continue
-            else:
-                region, strat = pf.attract(game, alive, beta, [v])
-            strategy.update(strat)
+            region, _ = pf.attract(game, alive, beta, [v])
             for w in region:
                 winner[w] = beta
                 alive[w] = False
             changed = True
-    dropped = {v for v in loopers if alive[v]}
-    return winner, strategy, alive, dropped
+    return winner, alive
 
 
 @dataclass(frozen=True)
@@ -247,6 +240,29 @@ def reference_winner_controlled_cycles(game: pf.ParityGame):
     index = {v: i for i, v in enumerate(to_parent)}
     successors = tuple(tuple(index[u] for u in game.successors[v] if alive[u]) for v in to_parent)
     return win, to_parent, successors
+
+
+def reference_controlled_cycles(game: pf.ParityGame):
+    """The reduction as two references in a chain: ``sequential_self_loops``,
+    then ``reference_winner_controlled_cycles`` on the loop-free rest.
+
+    Returns (win, to_parent, residual successors without self-loops), as
+    the second reference does, in ``game``'s indexing.
+    """
+    winner, alive = sequential_self_loops(game)
+    kept = [v for v in range(game.n) if alive[v]]
+    index = {v: i for i, v in enumerate(kept)}
+    rest = pf.ParityGame(
+        [game.priority[v] for v in kept],
+        [game.owner[v] for v in kept],
+        [[index[u] for u in game.successors[v] if alive[u] and u != v] for v in kept],
+    )
+    rest_win, rest_to_parent, successors = reference_winner_controlled_cycles(rest)
+    win = [-1 if v not in winner else int(winner[v]) for v in range(game.n)]
+    for i, v in enumerate(kept):
+        if rest_win[i] >= 0:
+            win[v] = rest_win[i]
+    return win, [kept[i] for i in rest_to_parent], successors
 
 
 class FreezingEvents:

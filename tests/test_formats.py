@@ -407,3 +407,28 @@ class TestSolutionFormat:
             pf.parse_solution("0 0 1;\nparitysol 1;\n1 0;\n", g1)
         assert (err.value.line, err.value.column) == (2, 1)
         assert "unexpected keyword" in str(err.value)
+
+
+# (parser, text, line, column, message): an error about a number's value
+# points at its first digit, indented or not
+_VALUE_ERRORS = [
+    ("game", "0 1 2 0;\n", 1, 5, "owner bit must be 0 or 1"),
+    ("game", "0 1 0 0;\n\t1 1  12 0;\n", 2, 7, "owner bit must be 0 or 1"),
+    ("game", "  0 1 0 0;\n  0 1 0 0;\n", 2, 3, "vertex id 0 declared twice"),
+    ("game", "parity 1;\n1 1 0 1;\n\t 1 2 0 1;\n", 3, 3, "vertex id 1 declared twice"),
+    ("game", f"0 1 0 0,{2**64};\n", 1, 9, f"successor id {2**64} is out of range (above {2**63 - 1})"),
+    ("solution", "17 0;\n", 1, 1, "unknown vertex id 17"),
+    ("solution", "0 0 1;\n   0 1;\n", 2, 4, "vertex id 0 assigned twice"),
+    ("solution", "0 0 12;\n1 0;\n", 1, 5, "unknown strategy target id 12"),
+    ("solution", "0  2;\n1 0;\n", 1, 4, "winner bit must be 0 or 1"),
+]
+
+
+@pytest.mark.parametrize("parser, text, line, column, message", _VALUE_ERRORS)
+def test_value_errors_point_at_first_digit(g1, parser, text, line, column, message):
+    with pytest.raises(pf.ParseError) as err:
+        if parser == "game":
+            pf.parse_pgsolver(text)
+        else:
+            pf.parse_solution(text, g1)
+    assert (err.value.line, err.value.column, err.value.message) == (line, column, message)

@@ -351,7 +351,7 @@ class TestStorage:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 10**9), st.booleans())
     def test_constructor_rebuilds_derived_games(self, seed, wide):
-        # the reader, the sort and the reductions store what the constructor
+        # the reader, the sort and the reduction store what the constructor
         # stores for the same game, priorities and ids as int64
         game = seeded_game(seed, max_n=120, max_d=8, self_loop=0.3)
         if wide:  # priorities and ids up to the int64 maximum, and labels
@@ -363,10 +363,9 @@ class TestStorage:
                 label=[f"v{v}" if v % 3 else None for v in range(game.n)],
             )
         parsed = pf.parse_pgsolver(pf.write_pgsolver(game))
-        _, loopless = pf.eliminate_self_loops(parsed)
-        _, residual = pf.winner_controlled_cycles(loopless)
+        _, residual = pf.winner_controlled_cycles(parsed)
         sorted_games = [pf.sort_by_priority(g)[0] for g in (parsed, residual)]
-        for g in (parsed, loopless, residual, *sorted_games):
+        for g in (parsed, residual, *sorted_games):
             assert g._priority.dtype == g._ids.dtype == np.int64
             rebuilt = pf.ParityGame(g.priority, g.owner, g.successors, g.original_id, g.label)
             for a, b in zip(_stored(g), _stored(rebuilt)):
@@ -383,9 +382,9 @@ class TestSubgame:
     @settings(max_examples=80, deadline=None)
     @given(st.integers(0, 10**9))
     def test_same_game_as_python_renumber_and_filter(self, seed):
-        # every vertex, in a seeded random order; the self-loops of vertices
-        # with another successor go
-        base = seeded_game(seed, max_n=120, max_d=8, self_loop=0.4)
+        # the vertices that the reduction leaves, in a seeded random order;
+        # their edges to the decided vertices go
+        base = seeded_game(seed, max_n=120, max_d=8, self_loop=0.1)
         n = base.n
         succ = base.successors
         game = pf.ParityGame(
@@ -396,18 +395,16 @@ class TestSubgame:
             label=[f"v{v}" if v % 2 else None for v in range(n)],
         )
         rng = pf.SplitMix64(seed + 5)
-        rows = list(range(n))
-        for i in range(n - 1, 0, -1):
+        rows = pf.winner_controlled_cycles(game)[0].to_parent.tolist()
+        for i in range(len(rows) - 1, 0, -1):
             j = rng.below(i + 1)
             rows[i], rows[j] = rows[j], rows[i]
-        only_loops = [all(u == v for u in s) for v, s in enumerate(succ)]
-        keep = [u != v or only_loops[v] for v in range(n) for u in succ[v]]
-        got = _subgame(game, np.array(rows, dtype=np.int64), np.array(keep, dtype=bool))
+        got = _subgame(game, np.array(rows, dtype=np.int64))
         index = {v: i for i, v in enumerate(rows)}
         want = pf.ParityGame(
             [game.priority[v] for v in rows],
             [game.owner[v] for v in rows],
-            [[index[u] for u in succ[v] if u != v or only_loops[v]] for v in rows],
+            [[index[u] for u in succ[v] if u in index] for v in rows],
             [game.original_id[v] for v in rows],
             [game.label[v] for v in rows],
         )

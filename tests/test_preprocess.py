@@ -1,16 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import parityfix as pf
 from parityfix import Player, preprocess
 from parityfix import solver as solver_module
 
-from _oracles import (
-    reference_first_error,
-    reference_winner_controlled_cycles,
-    sequential_self_loops,
-)
+from _oracles import reference_controlled_cycles, reference_first_error, sequential_self_loops
 from conftest import seeded_game
 
 
@@ -28,25 +24,25 @@ class TestEliminateSelfLoops:
     def test_friendly_loop_decided_for_owner(self):
         # Even-owned vertex with an even-priority self-loop wins by looping
         game = pf.ParityGame([2, 1], [0, 1], [[0, 1], [0]], original_id=[0, 1])
-        partial, residual = pf.eliminate_self_loops(game)
+        partial, residual = pf.winner_controlled_cycles(game)
         assert partial.win[0] == Player.EVEN
         assert partial.choice[0] == 0
         # vertex 1 is Odd-owned with its only escape into the Even dominion
         assert partial.decided == {0, 1}
         assert residual.n == 0
 
-    def test_g1_loop_dropped_nothing_decided(self, g1):
-        partial, residual = pf.eliminate_self_loops(g1)
+    def test_g1_hostile_loop_kept_nothing_decided(self, g1):
+        # vertex 0 is Even-owned with an odd loop and another move
+        partial, residual = pf.winner_controlled_cycles(g1)
         assert partial.decided == frozenset()
-        assert residual.n == 2
-        assert not any(residual.has_self_loop(v) for v in range(residual.n))
+        assert residual is g1 and residual.has_self_loop(0)
         sol = pf.compose_solution([partial], pf.solve(residual))
         assert sol.winner == pf.solve(g1).winner
 
     def test_forced_hostile_loop(self):
         # Even-owned, odd priority, no other move: Odd wins it
         game = pf.ParityGame([1], [0], [[0]])
-        partial, residual = pf.eliminate_self_loops(game)
+        partial, residual = pf.winner_controlled_cycles(game)
         assert partial.win[0] == Player.ODD
         assert partial.choice[0] == -1
         assert residual.n == 0
@@ -58,7 +54,7 @@ class TestEliminateSelfLoops:
             owner=[0, 1],
             successors=[[0, 1], [1]],
         )
-        partial, residual = pf.eliminate_self_loops(game)
+        partial, residual = pf.winner_controlled_cycles(game)
         assert partial.win.tolist() == [Player.ODD, Player.ODD]
         assert residual.n == 0
 
@@ -72,12 +68,9 @@ class TestWinnerControlledCycles:
         assert residual.n == 0
 
     def test_g2_nothing_decided(self, g2):
-        # run after loop elimination, as the pipeline does
-        loop_partial, loopless = pf.eliminate_self_loops(g2)
-        assert loop_partial.decided == frozenset()
-        partial, residual = pf.winner_controlled_cycles(loopless)
+        partial, residual = pf.winner_controlled_cycles(g2)
         assert partial.decided == frozenset()
-        assert residual.n == loopless.n
+        assert residual is g2
 
     def test_acyclic_induced_subgraphs_identity(self):
         game = pf.ParityGame([2, 1], [0, 1], [[1], [0]])
@@ -92,7 +85,11 @@ def test_composition_soundness(seed):
     game = seeded_game(seed, self_loop=0.4)
     direct = pf.solve(game)
     partials, residual = pf.apply_preprocessing(game)
-    assert not any(residual.has_self_loop(v) for v in range(residual.n))
+    assert len(partials) == 1
+    # the residual keeps hostile loops only
+    for v in range(residual.n):
+        if residual.has_self_loop(v):
+            assert residual.priority[v] & 1 != residual.owner[v]
     composed = pf.compose_solution(partials, pf.solve(residual))
     assert composed.winner == direct.winner
     assert pf.verify(game, composed).ok
@@ -149,28 +146,54 @@ def loop_games(draw):
     return pf.random_game(params)
 
 
+def _check_against_reference(game: pf.ParityGame) -> None:
+    """The one pass decides what the chain of references decides: the
+    winners, ``to_parent`` and the residual without its (hostile) loops;
+    every strategy moves into its winner's region, and every winner-owned
+    decided vertex has one."""
+    win, to_parent, successors = reference_controlled_cycles(game)
+    partial, residual = pf.winner_controlled_cycles(game)
+    assert partial.win.tolist() == win
+    assert partial.to_parent.tolist() == to_parent
+    assert tuple(tuple(u for u in s if u != v) for v, s in enumerate(residual.successors)) == successors
+    strategy = strategies(partial)
+    for v, u in strategy.items():
+        assert u in game.successors[v] and win[u] == win[v] >= 0
+    assert all(v in strategy for v in partial.decided if game.owner[v] == win[v])
+
+
 @settings(max_examples=60, deadline=None)
 @given(loop_games())
 def test_self_loops_match_sequential_reference(game):
     """Batched rounds decide what one attractor per loop decides."""
-    winner, _, alive, dropped = sequential_self_loops(game)
-    partial, residual = pf.eliminate_self_loops(game)
-    assert partial.decided == frozenset(winner)
-    assert winners(partial) == winner
-    assert (partial.win < 0).tolist() == alive
-    kept = [v for v in range(game.n) if alive[v]]
-    assert partial.to_parent.tolist() == kept
-    index = {v: i for i, v in enumerate(kept)}
-    assert residual.successors == tuple(
-        tuple(index[u] for u in game.successors[v] if alive[u] and not (u == v and v in dropped))
-        for v in kept
-    )
-    strategy = strategies(partial)
-    for v, u in strategy.items():
-        assert u in game.successors[v] and winner.get(u) is winner[v]
-    assert all(v in strategy for v in partial.decided if game.owner[v] is winner[v])
+    _check_against_reference(game)
     partials, rest = pf.apply_preprocessing(game)
     assert pf.verify(game, pf.compose_solution(partials, pf.solve(rest))).ok
+
+
+def _counters(stats: pf.SolverStats) -> tuple[int, ...]:
+    return stats.passes, stats.additions, stats.resets, stats.freezes, stats.evaluations
+
+
+# its residual keeps 18 hostile loops among 109 vertices
+_HOSTILE_RESIDUAL = pf.GenParams(400, 8, outdegree_hi=4, self_loop_probability=0.25, seed=8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(loop_games())
+@example(pf.random_game(_HOSTILE_RESIDUAL))
+def test_hostile_loops_do_nothing_in_the_kernel(game):
+    """The kernel never takes a hostile loop, so the residual solves alike
+    with and without its loops, counters included."""
+    _, residual = pf.winner_controlled_cycles(game)
+    succ = residual.successors
+    loopless = pf.ParityGame(
+        residual.priority, residual.owner, [[u for u in s if u != v] for v, s in enumerate(succ)]
+    )
+    for mode in ("freezing", "basic"):
+        a, b = (pf.solve_detailed(g, pf.SolverOptions(mode=mode)) for g in (residual, loopless))
+        assert a.solution == b.solution
+        assert _counters(a.stats) == _counters(b.stats)
 
 
 def _hostile_chain(n: int) -> pf.ParityGame:
@@ -188,12 +211,12 @@ def test_hostile_loop_chain_decided_by_one_attractor(monkeypatch):
         preprocess, "_attract", lambda *args: calls.append(args[3]) or attract(*args)
     )
     game = _hostile_chain(20_000)
-    partial, residual = pf.eliminate_self_loops(game)
+    partial, residual = pf.winner_controlled_cycles(game)
     assert calls == [1]
     assert residual.n == 0
     assert set(winners(partial).values()) == {Player.ODD}
-    winner, _, _, _ = sequential_self_loops(_hostile_chain(60))
-    assert winners(pf.eliminate_self_loops(_hostile_chain(60))[0]) == winner
+    winner, _ = sequential_self_loops(_hostile_chain(60))
+    assert winners(pf.winner_controlled_cycles(_hostile_chain(60))[0]) == winner
 
 
 def _doubled(game: pf.ParityGame, seed: int) -> list[list[int]]:
@@ -244,27 +267,16 @@ def test_doubled_edges_are_refused(seed, self_loop):
     assert (type(got), str(got)) == (type(want), str(want))
 
 
-def _check_against_reference_cycles(game: pf.ParityGame) -> None:
-    win, to_parent, successors = reference_winner_controlled_cycles(game)
-    partial, residual = pf.winner_controlled_cycles(game)
-    assert partial.win.tolist() == win
-    assert partial.to_parent.tolist() == to_parent
-    assert residual.successors == successors
-    for v in np.flatnonzero(partial.choice >= 0).tolist():
-        u = int(partial.choice[v])
-        assert u in game.successors[v] and win[u] == win[v] >= 0
-
-
 @settings(max_examples=60, deadline=None)
 @given(loop_games())
 def test_cycles_match_scc_reference_on_loop_games(game):
-    _check_against_reference_cycles(game)
+    _check_against_reference(game)
 
 
 @settings(max_examples=80, deadline=None)
 @given(st.integers(0, 10**9))
 def test_cycles_match_scc_reference(seed):
-    _check_against_reference_cycles(seeded_game(seed, self_loop=0.4))
+    _check_against_reference(seeded_game(seed, self_loop=0.4))
 
 
 _VIEWS = {"priority", "owner", "original_id", "successors", "predecessors"}
@@ -272,8 +284,8 @@ _VIEWS = {"priority", "owner", "original_id", "successors", "predecessors"}
 
 def test_derived_games_build_no_successor_tuples(monkeypatch):
     """From parse to write, the pipeline reads the arrays of the parsed game
-    and of both reductions' games, and builds none of their tuple views; only
-    the sorted residual holds the successor and predecessor tuples that the
+    and of the residual, and builds none of their tuple views; only the
+    sorted residual holds the successor and predecessor tuples that the
     kernel reads."""
     kernel_games = []
     kernel = solver_module._dfi
@@ -285,17 +297,16 @@ def test_derived_games_build_no_successor_tuples(monkeypatch):
     monkeypatch.setattr(solver_module, "_dfi", recording_kernel)
     source = pf.random_game(pf.GenParams(n=500, max_priority=6, self_loop_probability=0.05, seed=1))
     game = pf.parse_pgsolver(pf.write_pgsolver(source))
-    loop_partial, loopless = pf.eliminate_self_loops(game)
-    cycle_partial, residual = pf.winner_controlled_cycles(loopless)
+    partial, residual = pf.winner_controlled_cycles(game)
     assert not _VIEWS & vars(pf.sort_by_priority(residual)[0]).keys()
     outcome = pf.solve_detailed(residual)
-    solution = pf.compose_solution([loop_partial, cycle_partial], outcome.solution)
+    solution = pf.compose_solution([partial], outcome.solution)
     assert pf.verify(game, solution).ok
     text = pf.write_solution(game, solution)
-    assert 0 < residual.n < loopless.n < game.n
+    assert 0 < residual.n < game.n
     [sorted_game] = kernel_games
     assert sorted_game is not residual
-    for derived in (game, loopless, residual):
+    for derived in (game, residual):
         assert not _VIEWS & vars(derived).keys()
     assert _VIEWS & vars(sorted_game).keys() <= {"successors", "predecessors"}
     assert text == pf.write_solution(source, solution)
