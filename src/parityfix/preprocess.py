@@ -1,11 +1,12 @@
 """The game reduction applied before solving.
 
 One pass decides every cycle that a player controls and likes: the winner
-gets each decided vertex outright, with a strategy, and the pass returns a
-smaller residual game; solving the residual and composing gives a solution
-of the original game.  Soundness comes from the decided regions being
-attractor-closed: the loser can never escape them, and every internal
-cycle favors the decided winner.
+gets each decided vertex outright, with a strategy.  It then sets aside
+the vertices that no cycle reaches, to be decided after the solve, and
+returns a smaller residual game; solving the residual and composing gives
+a solution of the original game.  Soundness of the decided regions comes
+from their being attractor-closed: the loser can never escape them, and
+every internal cycle favors the decided winner.
 
 The pass works on numpy arrays over the game's forward and reverse CSR.
 The attractor grows its region layer by layer: an opponent vertex counts
@@ -30,7 +31,26 @@ region before its layer.  In order:
    successor inside, and their attractor are won.  Seeding these with
    the loops in one attractor per player would make the subgraphs scan
    every vertex that the loops decide.
-3. The residual is built once from the parent's arrays by
+3. The vertices that no cycle reaches, among the vertices left.  Each
+   layer is the alive vertices with no alive predecessor: in-degrees are
+   counted over the alive edges once, then counted down over each dropped
+   layer's successors.  What stays is closed under successors, since a
+   vertex drops only after all its predecessors have (a vertex with a
+   hostile loop is its own predecessor and stays), and every vertex left
+   has an alive successor, so it is a trap for both players: its
+   winners in the residual are its winners in the whole game.  The
+   dropped vertices are not decided here (``win`` stays -1);
+   ``compose_solution`` decides them after the solve by one-step backward
+   induction, layer by layer in reverse.  A layer's successors lie in
+   later layers, in the residual or in the regions decided before, so
+   each step reads only decided winners: the owner wins a vertex if some
+   successor is won by the owner, with the first such successor in stored
+   order as its choice (the solver's tie rule), and the opponent wins it
+   otherwise.  This is the cheapest form of the SCC decomposition of
+   Friedmann and Lange's generic solver (*Solving Parity Games in
+   Practice*, ATVA 2009): it keeps the solver off the vertices upstream of
+   every cycle, whose distractions would restart its lowest level.
+4. The residual is built once from the parent's arrays by
    ``game._subgame``, with no tuple view read.
 
 The residual keeps the hostile loops of its vertices.  The solver never
@@ -60,16 +80,24 @@ class PartialSolution:
     ``win`` holds each parent vertex's winner bit, -1 while undecided;
     ``choice`` the chosen successor of a decided winner-owned vertex, -1
     elsewhere.  ``to_parent`` maps the residual game's dense indices back
-    to the parent's.  The arrays are read-only; ``decided`` is a view of
-    them, built on first use.
+    to the parent's.  ``layers`` are the vertices that no cycle reaches,
+    as parent-index arrays in the order they were dropped; they are in
+    neither ``to_parent`` nor ``decided`` and are decided by
+    ``compose_solution`` after the solve, from the parent's ``csr`` (its
+    ``_csr`` triple) and ``owner`` bits.  The arrays are read-only;
+    ``decided``, the vertices decided before the solve, is a view of them,
+    built on first use.
     """
 
     win: np.ndarray
     choice: np.ndarray
     to_parent: np.ndarray
+    layers: tuple[np.ndarray, ...]
+    csr: tuple[np.ndarray, np.ndarray, np.ndarray]
+    owner: np.ndarray
 
     def __post_init__(self) -> None:
-        for a in (self.win, self.choice, self.to_parent):
+        for a in (self.win, self.choice, self.to_parent, *self.layers):
             a.flags.writeable = False
 
     @cached_property
@@ -89,6 +117,17 @@ def _distinct(vs: np.ndarray) -> np.ndarray:
     return vs[keep]
 
 
+def _first_hits(good: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """The index of each row's first true entry of ``good``, -1 for a row
+    with none; row ``i`` is ``good[bounds[i]:bounds[i + 1]]``."""
+    hits = np.flatnonzero(good)
+    at = np.searchsorted(hits, bounds)
+    has = at[:-1] < at[1:]
+    first = np.full(len(bounds) - 1, -1, dtype=np.int64)
+    first[has] = hits[at[:-1][has]]
+    return first
+
+
 def _first_inside(game: ParityGame, inside: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """The first successor of each of ``rows``, in stored order, marked ``inside``.
 
@@ -97,8 +136,7 @@ def _first_inside(game: ParityGame, inside: np.ndarray, rows: np.ndarray) -> np.
     indptr, targets, _ = game._csr
     pos, bounds = _positions(indptr, rows)
     tg = targets[pos]
-    hits = np.flatnonzero(inside[tg])
-    return tg[hits[np.searchsorted(hits, bounds[:-1])]]
+    return tg[_first_hits(inside[tg], bounds)]
 
 
 def _attract(
@@ -160,9 +198,28 @@ def _staying(game: ParityGame, mask: np.ndarray, player: int) -> np.ndarray:
     return np.flatnonzero(stay)
 
 
+def _upstream(game: ParityGame, alive: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Drop from ``alive``, layer by layer, the alive vertices with no
+    alive predecessor; returns the layers in drop order."""
+    indptr, targets, _ = game._csr
+    indegree = np.bincount(targets[np.repeat(alive, np.diff(indptr))], minlength=game.n)
+    layer = np.flatnonzero(alive & (indegree == 0))
+    layers = []
+    while len(layer):
+        alive[layer] = False
+        layers.append(layer)
+        pos, _ = _positions(indptr, layer)
+        tg = targets[pos]
+        tg = tg[alive[tg]]
+        np.subtract.at(indegree, tg, 1)
+        layer = _distinct(tg[indegree[tg] == 0])
+    return tuple(layers)
+
+
 def winner_controlled_cycles(game: ParityGame) -> tuple[PartialSolution, ParityGame]:
     """Decide every cycle that a player controls and likes, with its
-    attractor, in one pass (steps 1-3 of the module docstring).
+    attractor, and set aside the vertices that no cycle reaches, in one
+    pass (steps 1-4 of the module docstring).
 
     Returns the partial solution and the residual, which keeps the hostile
     loops of its vertices.
@@ -198,10 +255,12 @@ def winner_controlled_cycles(game: ParityGame) -> tuple[PartialSolution, ParityG
         inside[mine] = True
         choice[mine] = _first_inside(game, inside, mine)
         win[_attract(game, alive, degree, beta, mine, choice)] = beta
-    # 3. the residual
+    # 3. the vertices that no cycle reaches, decided after the solve
+    layers = _upstream(game, alive)
+    # 4. the residual
     to_parent = np.flatnonzero(alive)
     residual = game if len(to_parent) == game.n else _subgame(game, to_parent)
-    return PartialSolution(win, choice, to_parent), residual
+    return PartialSolution(win, choice, to_parent, layers, game._csr, owner), residual
 
 
 def apply_preprocessing(game: ParityGame) -> tuple[list[PartialSolution], ParityGame]:
@@ -211,7 +270,12 @@ def apply_preprocessing(game: ParityGame) -> tuple[list[PartialSolution], Parity
 
 
 def compose_solution(partials: list[PartialSolution], residual_solution: Solution) -> Solution:
-    """Fold the reduction chain back up to the original game."""
+    """Fold the reduction chain back up to the original game.
+
+    At each step the residual's solution is scattered into the parent, and
+    then the vertices that no cycle reaches are decided, one layer at a
+    time from the last dropped (step 3 of the module docstring).
+    """
     if not partials:
         return residual_solution
     win, choice = residual_solution.win, residual_solution.choice
@@ -224,5 +288,14 @@ def compose_solution(partials: list[PartialSolution], residual_solution: Solutio
         parent_choice = partial.choice.copy()
         chosen = choice >= 0
         parent_choice[to_parent[chosen]] = to_parent[choice[chosen]]
+        indptr, targets, edge_owner = partial.csr
+        for layer in reversed(partial.layers):
+            pos, bounds = _positions(indptr, layer)
+            tg = targets[pos]
+            first = _first_hits(parent_win[tg] == edge_owner[pos], bounds)
+            has = first >= 0
+            own = partial.owner[layer]
+            parent_win[layer] = np.where(has, own, 1 - own)
+            parent_choice[layer[has]] = tg[first[has]]
         win, choice = parent_win, parent_choice
     return Solution(win, choice)

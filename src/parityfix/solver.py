@@ -62,7 +62,7 @@ from __future__ import annotations
 
 import time
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Literal
 
 import numpy as np
@@ -110,6 +110,11 @@ class SolverStats:
     evaluations: int = 0
     wall_time_s: float = 0.0
     state_bytes: int = 0
+    # passes, evaluations and additions per level of the sorted game,
+    # lowest priority first; each sums to its counter above
+    level_passes: list[int] = field(default_factory=list)
+    level_evaluations: list[int] = field(default_factory=list)
+    level_additions: list[int] = field(default_factory=list)
 
 
 @dataclass(frozen=True, eq=False)
@@ -288,6 +293,9 @@ def _dfi(game, deadline, stats, freeze):
     flags = np.frombuffer(fl, dtype=code)
     strat = np.frombuffer(st, dtype=np.int32)
     stats.state_bytes = flags.nbytes + strat.nbytes
+    level_passes = stats.level_passes = [0] * len(levels)
+    level_evaluations = stats.level_evaluations = [0] * len(levels)
+    level_additions = stats.level_additions = [0] * len(levels)
     if code == "B":
         select, sweep, thaw = _byte_helpers(fl, flags, levels)
     else:
@@ -310,12 +318,14 @@ def _dfi(game, deadline, stats, freeze):
     while li < len(levels):
         _check_deadline(deadline)
         stats.passes += 1
+        level_passes[li] += 1
         p, lo, hi = levels[li]
         alpha = p & 1
         keep = alpha << wshift  # evaluated and still won by the level's player
         lose = keep ^ wbit  # added to Z: won by the opponent
         sel = select(keep | dirty, lo, hi)
         stats.evaluations += len(sel)
+        level_evaluations[li] += len(sel)
         if type(sel) is list:
             # every vertex is evaluated before any winner bit moves: snapshot semantics
             adds = []
@@ -346,6 +356,7 @@ def _dfi(game, deadline, stats, freeze):
             added = len(add)
         if added:
             stats.additions += added
+            level_additions[li] += added
             stats.resets += 1
             if lo and freeze:
                 stats.freezes += sweep(li, lo, lose)

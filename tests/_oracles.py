@@ -13,7 +13,9 @@ the per-edge walk that names the error the game constructor raises.
 ``reference_winner_controlled_cycles`` is the cycle reduction by SCC
 decomposition, on ``sccs`` (iterative Tarjan, here since no production
 module reads it) and ``pf.attract``; ``reference_controlled_cycles``
-chains it after ``sequential_self_loops``, one attractor per loop.
+chains it after ``sequential_self_loops``, one attractor per loop, and
+``reference_reduction`` chains ``reference_upstream``, a round-by-round
+drop of the vertices that nothing alive points to, after that.
 ``winner_of`` and ``onestep`` are the one-step semantics of DFI on flag
 sets.
 """
@@ -263,6 +265,55 @@ def reference_controlled_cycles(game: pf.ParityGame):
         if rest_win[i] >= 0:
             win[v] = rest_win[i]
     return win, [kept[i] for i in rest_to_parent], successors
+
+
+def reference_upstream(successors) -> tuple[list[list[int]], list[int]]:
+    """Drop, round after round, every alive vertex that no alive vertex
+    points to (a self-loop points to its own vertex).
+
+    Returns (the rounds' vertices, each round ascending, in drop order; the
+    vertices kept, ascending).
+    """
+    alive = [True] * len(successors)
+    layers = []
+    while True:
+        pointed = [False] * len(successors)
+        for v, succ in enumerate(successors):
+            if alive[v]:
+                for u in succ:
+                    pointed[u] = True
+        layer = [v for v in range(len(successors)) if alive[v] and not pointed[v]]
+        if not layer:
+            break
+        for v in layer:
+            alive[v] = False
+        layers.append(layer)
+    return layers, [v for v in range(len(successors)) if alive[v]]
+
+
+def reference_reduction(game: pf.ParityGame):
+    """The whole reduction as references in a chain:
+    ``reference_controlled_cycles``, then ``reference_upstream`` on its
+    residual with the hostile loops kept.
+
+    Returns (win, to_parent, residual successors without self-loops,
+    upstream layers), all in ``game``'s indexing but the successors, which
+    are in the residual's.
+    """
+    win, rest, successors = reference_controlled_cycles(game)
+    # the residual keeps its hostile loops
+    looped = [
+        list(succ) + ([i] if v in game.successors[v] else [])
+        for i, (v, succ) in enumerate(zip(rest, successors))
+    ]
+    layers, kept = reference_upstream(looped)
+    index = {i: k for k, i in enumerate(kept)}
+    return (
+        win,
+        [rest[i] for i in kept],
+        tuple(tuple(index[u] for u in successors[i]) for i in kept),
+        [[rest[i] for i in layer] for layer in layers],
+    )
 
 
 class FreezingEvents:

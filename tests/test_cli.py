@@ -60,9 +60,12 @@ class TestSolveCommand:
         record = json.loads(captured.err)
         assert set(record) == {
             "passes", "additions", "resets", "freezes", "evaluations",
-            "wall_time_s", "state_bytes", "timed_out",
+            "wall_time_s", "state_bytes", "level_passes", "level_evaluations",
+            "level_additions", "timed_out",
         }
         assert record["passes"] > 0 and record["timed_out"] is False
+        for key in ("passes", "evaluations", "additions"):
+            assert sum(record["level_" + key]) == record[key]
 
     def test_no_preprocess_same_answer(self, g1_path, capsys):
         assert main(["solve", str(g1_path)]) == 0
@@ -293,9 +296,22 @@ def _workflow_step_script(name: str) -> str:
     return "\n".join(block) + "\n"
 
 
+def test_python_dash_m_runs_the_cli(tmp_path):
+    out = tmp_path / "g.pg"
+    src = str(Path(pf.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-m", "parityfix", "gen", "--n", "30", "--d", "4", "--seed", "1", "-o", str(out)],
+        cwd=tmp_path, env=env, capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    assert pf.parse_pgsolver(out.read_bytes()).n == 30
+
+
 def test_workflow_console_script_step(tmp_path):
     # the CI step runs against an installed ``parityfix``; here a shim on
-    # PATH runs this checkout's ``parityfix.cli.run`` instead
+    # PATH runs this checkout's ``parityfix.cli.run`` instead, and
+    # PYTHONPATH points ``python -m parityfix`` at this checkout
     script = _workflow_step_script("Installed console script")
     assert script.startswith("parityfix gen ")
     shim = tmp_path / "bin" / "parityfix"
@@ -306,7 +322,11 @@ def test_workflow_console_script_step(tmp_path):
         "from parityfix.cli import run\nrun()\n"
     )
     shim.chmod(0o755)
-    env = {**os.environ, "PATH": os.pathsep.join([str(shim.parent), os.environ.get("PATH", "")])}
+    env = {
+        **os.environ,
+        "PATH": os.pathsep.join([str(shim.parent), os.environ.get("PATH", "")]),
+        "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+    }
     done = subprocess.run(
         ["bash", "-e", "-c", script], cwd=tmp_path, env=env, capture_output=True, text=True
     )

@@ -6,7 +6,7 @@ import parityfix as pf
 from parityfix import Player, preprocess
 from parityfix import solver as solver_module
 
-from _oracles import reference_controlled_cycles, reference_first_error, sequential_self_loops
+from _oracles import reference_first_error, reference_reduction, sequential_self_loops
 from conftest import seeded_game
 
 
@@ -119,8 +119,13 @@ def test_decided_regions_are_loser_closed(seed):
                 target = strategy[v]
                 assert target in current.successors[v]
                 assert winner.get(target) is winner[v]
+        # the upstream vertices are left undecided, and nothing that stays
+        # points to them
+        trimmed = {v for layer in partial.layers for v in layer.tolist()}
+        assert not trimmed & partial.decided
+        alive = [v for v in range(current.n) if v not in partial.decided and v not in trimmed]
+        assert all(u not in trimmed for v in alive for u in current.successors[v])
         # rebuild the child to walk down the chain
-        alive = [v for v in range(current.n) if v not in partial.decided]
         assert list(partial.to_parent) == alive
         current = pf.ParityGame(
             priority=[current.priority[v] for v in alive],
@@ -148,12 +153,13 @@ def loop_games(draw):
 
 def _check_against_reference(game: pf.ParityGame) -> None:
     """The one pass decides what the chain of references decides: the
-    winners, ``to_parent`` and the residual without its (hostile) loops;
-    every strategy moves into its winner's region, and every winner-owned
-    decided vertex has one."""
-    win, to_parent, successors = reference_controlled_cycles(game)
+    winners, the upstream layers, ``to_parent`` and the residual without
+    its (hostile) loops; every strategy moves into its winner's region,
+    and every winner-owned decided vertex has one."""
+    win, to_parent, successors, layers = reference_reduction(game)
     partial, residual = pf.winner_controlled_cycles(game)
     assert partial.win.tolist() == win
+    assert [layer.tolist() for layer in partial.layers] == layers
     assert partial.to_parent.tolist() == to_parent
     assert tuple(tuple(u for u in s if u != v) for v, s in enumerate(residual.successors)) == successors
     strategy = strategies(partial)
@@ -169,6 +175,55 @@ def test_self_loops_match_sequential_reference(game):
     _check_against_reference(game)
     partials, rest = pf.apply_preprocessing(game)
     assert pf.verify(game, pf.compose_solution(partials, pf.solve(rest))).ok
+
+
+@st.composite
+def in_tree_games(draw):
+    """Games with long in-trees and few cycles: out-degree 1 or 1-2, and
+    few or no self-loops."""
+    n = draw(st.integers(1, 1500))
+    params = pf.GenParams(
+        n=n,
+        max_priority=draw(st.integers(0, 8)),
+        outdegree_lo=1,
+        outdegree_hi=min(n, draw(st.integers(1, 2))),
+        self_loop_probability=draw(st.sampled_from([0.0, 0.01, 0.05])),
+        seed=draw(st.integers(0, 10**9)),
+    )
+    return pf.random_game(params)
+
+
+# one successor per vertex: 6 of 300 vertices lie on cycles, and the other
+# 294 hang upstream of them in 26 layers
+_IN_TREE = pf.GenParams(300, 6, outdegree_hi=1, seed=28)
+
+
+@settings(max_examples=60, deadline=None)
+@given(in_tree_games())
+@example(pf.random_game(_IN_TREE))
+def test_upstream_vertices_decided_after_the_solve(game):
+    """Backward induction over the upstream layers gives Zielonka's winners
+    in both modes, with strategies that ``verify`` accepts; each layer
+    points only to later layers, the residual and the decided regions."""
+    partials, residual = pf.apply_preprocessing(game)
+    [partial] = partials
+    upstream = [v for layer in partial.layers for v in layer.tolist()]
+    place = [len(partial.layers)] * game.n  # the residual and decided vertices: past every layer
+    for i, layer in enumerate(partial.layers):
+        for v in layer.tolist():
+            place[v] = i
+    assert all(place[u] > place[v] for v in upstream for u in game.successors[v])
+    zielonka = pf.solve_zielonka(game)
+    for mode in ("freezing", "basic"):
+        composed = pf.compose_solution(partials, pf.solve(residual, pf.SolverOptions(mode=mode)))
+        assert composed.winner == zielonka.winner
+        # an owner-won upstream vertex takes its first successor won by the
+        # owner, the solver's tie rule
+        for v in upstream:
+            won = [u for u in game.successors[v] if composed.winner[u] is game.owner[v]]
+            assert composed.strategy[v] == (won[0] if won else None)
+        if mode == "freezing":
+            assert pf.verify(game, composed).ok
 
 
 def _counters(stats: pf.SolverStats) -> tuple[int, ...]:

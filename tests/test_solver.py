@@ -331,6 +331,29 @@ def test_timeout_carries_partial_stats(monkeypatch, mode, state_bytes):
     assert stats.state_bytes == state_bytes * game.n
     assert stats.wall_time_s == k + 2
     assert stats.evaluations > 0
+    assert sum(stats.level_passes) == k
+    assert sum(stats.level_evaluations) == stats.evaluations
+    assert sum(stats.level_additions) == stats.additions
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**9))
+def test_level_counters_sum_to_totals(seed):
+    game = seeded_game(seed, max_n=300, max_d=8)
+    levels = pf.sort_by_priority(game)[0].levels
+    for mode in ("freezing", "basic"):
+        stats = pf.solve_detailed(game, pf.SolverOptions(mode=mode)).stats
+        for per_level, total in (
+            (stats.level_passes, stats.passes),
+            (stats.level_evaluations, stats.evaluations),
+            (stats.level_additions, stats.additions),
+        ):
+            assert len(per_level) == len(levels)
+            assert sum(per_level) == total
+        # the last run goes up through every level without an addition, and
+        # no level gets more passes than the one below it
+        assert min(stats.level_passes, default=1) >= 1
+        assert all(a >= b for a, b in zip(stats.level_passes, stats.level_passes[1:]))
 
 
 @settings(max_examples=60, deadline=None)
