@@ -7,13 +7,36 @@ estimated-winning successor in one step.  Levels are processed from the
 lowest priority upward, and whenever a level gains distractions all lower
 levels are recomputed.  The final winners are read off the flags.
 
-The freezing mode differs from the basic mode in one step, the reset.
-While a level's fixpoint is in progress, it keeps all lower vertices
-currently won by the opposite parity out of the recomputation.  Those
-frozen vertices keep the last successor choice recorded for them, which is
-exactly what makes the recorded one-step choices a correct winning
-strategy by the end of the run.  Basic mode freezes nothing and resets
-every lower distraction, so it yields regions only.
+The two modes differ in the reset that follows a level's additions.  Basic
+mode resets every lower distraction, so it yields regions only.  Freezing
+mode first freezes every unfrozen lower vertex that the opponent of the
+level's player now wins: a frozen vertex is not evaluated and keeps its
+strategy slot until the level that froze it completes a pass without
+additions, which is what makes the recorded slots a winning strategy by
+the end of the run.  Then it resets only the lower distractions whose
+justification reaches the new ones (the justification rule of Lapauw,
+Bruynooghe and Denecker, VMCAI 2020).  A vertex's justification is its
+strategy slot when its owner wins it, and all its edges otherwise.  The
+reset walks backward from the new distractions through the lower vertices
+that are unfrozen and won by the level's player: it follows every such
+predecessor that the opponent owns, and one that the player owns only when
+its slot is the vertex walked from.  It resets the distractions it reaches
+and walks on through the other vertices, since a distraction kept in Z may
+be justified through them.
+
+Freezing comes first because a reset vertex is won by the opponent too: a
+freeze after the reset would keep it out of the recomputation with an
+estimate no evaluation made.  Frozen vertices never enter the walk.  Those
+this sweep freezes are won by the opponent, so their justifications hold
+only vertices the opponent won, never the new distractions, which the
+level's player won until now.  Those a higher level froze keep their
+estimate and slot until that level thaws them, as under the paper's reset.
+An evaluation keeps a vertex's slot while its target is still won by the
+vertex's owner, and picks the first winning successor in stored order only
+otherwise.  So a slot moves only when its justification broke, and
+distractions never come to justify one another around a cycle that no walk
+from a new distraction enters.  Keeping a slot never changes a one-step
+result, so basic mode's counters are those of the paper's loop.
 
 A pass evaluates the vertices of its level against the flags as they
 stand when the pass starts: it collects the level's new distractions in a
@@ -21,17 +44,17 @@ list and sets their z bits only when the pass ends.  No flag moves during
 a pass, so no copy of the flags is needed.
 
 Both modes run on one kernel, ``_dfi``, whose ``freeze`` switch chooses
-the reset; strategy ties break on the first winning successor in stored
-order.  It is a worklist over dirty vertices.  A vertex's one-step result
-depends only on its successors' winner bits, so it is re-evaluated only
-when it is dirty: every vertex starts dirty, a reset vertex becomes dirty,
+the reset.  It is a worklist over dirty vertices.  A vertex's one-step
+result depends only on its successors' winner bits, so it is re-evaluated
+only when it is dirty: every vertex starts dirty, a reset vertex becomes dirty,
 and so does every predecessor of a vertex that is added to Z or reset.  A
 pass evaluates the unfrozen, non-Z dirty vertices of its level and clears
 their dirty bits.  Frozen vertices keep their dirty bit until they are
 thawed.  A dirty set of at most ``_K`` vertices is evaluated, and its
 additions' predecessors marked, in a Python loop; a larger set goes
 through a numpy gather over the CSR edge arrays and a reverse-CSR
-scatter.
+scatter.  The justification walk is a Python loop over the ascending
+predecessor tuples, which stops at the level's first vertex.
 
 Its state is one flags word and one int32 strategy slot per vertex.  A
 flags word holds, from the top bit down, the estimated winner bit (parity
@@ -41,21 +64,21 @@ and so do the final winners; z is ``winner ^ parity``.  At a level of parity
 alpha the vertices to evaluate are exactly those whose word equals
 ``alpha << top | dirty``: won by alpha (so not in Z), dirty and unfrozen.
 
-Up to 63 levels (distinct priorities) the word is one
-byte in a ``bytearray``, and selecting, freezing, resetting and thawing are
-C-level byte operations over it (``_byte_helpers``): ``count`` and ``find``
-list a level's vertices to evaluate; one ``translate`` per run of
-same-parity lower levels freezes and resets them, with 256-byte tables
-built once per solve; one ``translate`` thaws.  These cost a few
-microseconds per pass over thousands of vertices, where numpy calls cost
-that much each.  With more levels the word is 16 bits wide (32 above 16383
-levels), which the byte operations cannot address, so the same pass loop
-calls numpy sweeps instead (``_wide_helpers``); a second per-vertex byte
-buffer would add to the state the solver keeps.  Both containers are
-shared with a numpy view of the same memory for the large-set branches.
-Basic mode uses only the selection of these helpers: on every layout its
-reset is one numpy pass over the lower levels that sets each vertex whose
-winner bit differs from its parity back to ``parity << top | dirty``.
+Up to 63 levels (distinct priorities) the word is one byte in a
+``bytearray``, and selecting, freezing and thawing are C-level byte
+operations over it (``_byte_helpers``): ``count`` and ``find`` list a
+level's vertices to evaluate; one ``translate`` over the lower levels
+freezes them, and one thaws them, with 256-byte tables built once per
+solve.  These cost a few microseconds per pass over thousands of
+vertices, where numpy calls cost that much each.  With more levels the
+word is 16 bits wide (32 above 16383 levels), which the byte operations
+cannot address, so the same pass loop calls numpy sweeps instead
+(``_wide_helpers``); a second per-vertex byte buffer would add to the
+state the solver keeps.  Both containers are shared with a numpy view of
+the same memory for the large-set branches.  Basic mode uses only the
+selection of these helpers: on every layout its reset is one numpy pass
+over the lower levels that sets each vertex whose winner bit differs from
+its parity back to ``parity << top | dirty``.
 """
 
 from __future__ import annotations
@@ -103,7 +126,10 @@ class SolverStats:
 
     passes: int = 0
     additions: int = 0
+    # passes that added distractions, each followed by a reset
     resets: int = 0
+    # vertices moved out of Z by those resets
+    reset_vertices: int = 0
     freezes: int = 0
     # vertices evaluated; both modes skip the vertices whose successors'
     # winner bits have not changed since their last evaluation
@@ -148,12 +174,13 @@ def _flag_layout(levels: int) -> tuple[str, int]:
     return "I", 31
 
 
-def _eval_indices(indptr, targets, edge_owner, owner_bits, flags, wshift, gidx):
+def _eval_indices(indptr, targets, edge_owner, owner_bits, flags, strat, wshift, gidx):
     """One-step evaluation of the vertices listed in ``gidx`` against the
     winner bits read from ``flags``.
 
-    Returns (first winning successor or -1, one-step winner bit), aligned
-    with ``gidx``.
+    Returns (strategy slot or -1, one-step winner bit), aligned with
+    ``gidx``.  A slot in ``strat`` that still wins for its vertex's owner is
+    kept; otherwise the slot is the first winning successor in stored order.
     """
     pos, bounds = _positions(indptr, gidx)
     tg = targets[pos]
@@ -171,6 +198,8 @@ def _eval_indices(indptr, targets, edge_owner, owner_bits, flags, wshift, gidx):
     else:
         stratvals = np.full(len(gidx), -1, dtype=np.int32)
     ob = owner_bits[gidx]
+    held = strat[gidx]
+    stratvals = np.where((held >= 0) & ((flags[held] >> wshift) == ob), held, stratvals)
     osbit = np.where(has, ob, 1 - ob).astype(np.uint8)
     return stratvals, osbit
 
@@ -181,40 +210,21 @@ def _byte_helpers(fl, flags, levels):
 
     ``select(want, lo, hi)`` lists the vertices of ``[lo, hi)`` whose word
     equals ``want``: a list of at most ``_K``, else an index array.
-    ``sweep(li, lo, lose)`` freezes and resets ``[0, lo)`` after level
-    ``li`` added distractions and returns the number of freezes; ``lose``
-    is the word of an unfrozen vertex won by the opponent of the level's
-    player, and each reset vertex is left as ``lose | dirty``.
+    ``sweep(li, lo, lose)`` freezes the unfrozen vertices of ``[0, lo)``
+    that the opponent of level ``li``'s player wins after the level added
+    distractions, and returns their number; ``lose`` is the word of an
+    unfrozen vertex won by that opponent.
     ``thaw(li, lo)`` unfreezes the vertices frozen by level ``li``.
     """
     dirty = 0x40
     codes = np.arange(256)
-    free = (codes & 0x3F) == 0
-    won = codes >> 7
     # one row of each table per level, built in one broadcast
     alphas = np.array([p & 1 for p, _, _ in levels], dtype=np.int64)[:, None]
     ids = np.arange(1, len(levels) + 1)[:, None]
-    frozen = np.where(free & (won != alphas), codes | ids, codes)
-    # at levels of the other parity a vertex won by the level's player is
-    # in Z, and is reset
-    reset = np.where(free & (won == alphas), (1 - alphas) << 7 | dirty, frozen)
+    frozen = np.where(((codes & 0x3F) == 0) & (codes >> 7 != alphas), codes | ids, codes)
     thawed = np.where((codes & 0x3F) == ids, codes & 0xC0, codes)
-    frozen, reset, thawed = (t.astype(np.uint8) for t in (frozen, reset, thawed))
-    sweeps = []  # per level index: (lo, hi, table) over runs of lower levels
-    thaws = []
-    for li, (p, _, _) in enumerate(levels):
-        alpha = p & 1
-        same = frozen[li].tobytes()
-        other = reset[li].tobytes()
-        runs = []
-        for q, a, b in levels[:li]:
-            tab = same if (q & 1) == alpha else other
-            if runs and runs[-1][2] is tab:
-                runs[-1] = (runs[-1][0], b, tab)
-            else:
-                runs.append((a, b, tab))
-        sweeps.append(runs)
-        thaws.append(thawed[li].tobytes())
+    sweeps = [row.tobytes() for row in frozen.astype(np.uint8)]
+    thaws = [row.tobytes() for row in thawed.astype(np.uint8)]
 
     count, find = fl.count, fl.find
 
@@ -232,8 +242,7 @@ def _byte_helpers(fl, flags, levels):
     def sweep(li, lo, lose):
         # freezes are counted at the event, so partial stats stay honest
         nfr = count(lose, 0, lo) + count(lose | dirty, 0, lo)
-        for a, b, tab in sweeps[li]:
-            fl[a:b] = fl[a:b].translate(tab)
+        fl[:lo] = fl[:lo].translate(sweeps[li])
         return nfr
 
     def thaw(li, lo):
@@ -242,7 +251,7 @@ def _byte_helpers(fl, flags, levels):
     return select, sweep, thaw
 
 
-def _wide_helpers(flags, parb, wshift):
+def _wide_helpers(flags, wshift):
     """Select, sweep and thaw as numpy sweeps over a 16- or 32-bit flags
     word; the same contracts as ``_byte_helpers``."""
     wbit = 1 << wshift
@@ -255,14 +264,9 @@ def _wide_helpers(flags, parb, wshift):
 
     def sweep(li, lo, lose):
         low = flags[:lo]
-        unfrozen = (low & field) == 0
-        opp_won = (low >> wshift) == (lose >> wshift)
-        fr = unfrozen & opp_won
-        nfr = int(np.count_nonzero(fr))
+        fr = ((low & field) == 0) & ((low >> wshift) == (lose >> wshift))
         np.bitwise_or(low, li + 1, out=low, where=fr)
-        # reset: unfrozen Z vertices that the level's player now wins
-        np.copyto(low, lose | dirty, where=unfrozen & ~opp_won & (parb[:lo] == lose >> wshift))
-        return nfr
+        return int(np.count_nonzero(fr))
 
     def thaw(li, lo):
         low = flags[:lo]
@@ -276,6 +280,7 @@ def _dfi(game, deadline, stats, freeze):
     succ = game.successors
     pred = game.predecessors
     own = game._owner_bits.tobytes()
+    par = game._parity_bits.tobytes()
     parb = game._parity_bits
     owner_bits = game._owner_bits
     indptr, targets, edge_owner = game._csr
@@ -299,7 +304,7 @@ def _dfi(game, deadline, stats, freeze):
     if code == "B":
         select, sweep, thaw = _byte_helpers(fl, flags, levels)
     else:
-        select, sweep, thaw = _wide_helpers(flags, parb, wshift)
+        select, sweep, thaw = _wide_helpers(flags, wshift)
 
     def mark_predecessors(vs):
         """Mark dirty the predecessors of ``vs``, whose winner bits just changed.
@@ -313,6 +318,33 @@ def _dfi(game, deadline, stats, freeze):
         else:
             pos, _ = _positions(rev_indptr, vs)
             flags[sources[pos]] |= dirty
+
+    def walk(adds, lo, alpha, lose):
+        """Reset the distractions of ``[0, lo)`` whose justification reaches
+        ``adds``, the level's new distractions, and return their number.
+
+        The walk goes backward from ``adds`` over the unfrozen vertices won
+        by ``alpha``, the level's player (after the sweep, all unfrozen
+        vertices of ``[0, lo)`` are), following every predecessor that the
+        opponent owns and each one the player owns whose slot is the vertex
+        walked from.  It goes on through the vertices it does not reset.
+        """
+        won = lose ^ wbit
+        seen = set()
+        todo = list(adds)
+        reset = []
+        for x in todo:
+            for u in pred[x]:
+                if u >= lo:
+                    break  # predecessors come in ascending order
+                if fl[u] & ~dirty == won and u not in seen and (own[u] != alpha or st[u] == x):
+                    seen.add(u)
+                    todo.append(u)
+                    if par[u] != alpha:
+                        fl[u] = lose | dirty
+                        reset.append(u)
+        mark_predecessors(reset if len(reset) <= _K else np.array(reset))
+        return len(reset)
 
     li = 0
     while li < len(levels):
@@ -331,41 +363,45 @@ def _dfi(game, deadline, stats, freeze):
             adds = []
             for v in sel:
                 ow = own[v]
-                choice = -1
-                for u in succ[v]:
-                    if fl[u] >> wshift == ow:
-                        choice = u
-                        break
-                st[v] = choice
+                choice = st[v]
+                if choice < 0 or fl[choice] >> wshift != ow:
+                    choice = -1
+                    for u in succ[v]:
+                        if fl[u] >> wshift == ow:
+                            choice = u
+                            break
+                    st[v] = choice
                 fl[v] = keep
                 if (ow if choice >= 0 else 1 - ow) != alpha:
                     adds.append(v)
             for v in adds:
                 fl[v] = lose
             mark_predecessors(adds)
-            added = len(adds)
         else:
             stratvals, osbit = _eval_indices(
-                indptr, targets, edge_owner, owner_bits, flags, wshift, sel
+                indptr, targets, edge_owner, owner_bits, flags, strat, wshift, sel
             )
             strat[sel] = stratvals
             flags[sel] = keep
-            add = sel[osbit != alpha]
-            flags[add] = lose
-            mark_predecessors(add)
-            added = len(add)
-        if added:
-            stats.additions += added
-            level_additions[li] += added
+            adds = sel[osbit != alpha]
+            flags[adds] = lose
+            mark_predecessors(adds)
+            adds = adds.tolist()
+        if adds:
+            stats.additions += len(adds)
+            level_additions[li] += len(adds)
             stats.resets += 1
             if lo and freeze:
+                # freeze first: the vertices the walk resets are won by the
+                # opponent too, and must stay unfrozen
                 stats.freezes += sweep(li, lo, lose)
-                mark_predecessors(select(lose | dirty, 0, lo))
+                stats.reset_vertices += walk(adds, lo, alpha, lose)
             elif lo:
                 # basic mode: every lower distraction is reset
                 reset = np.flatnonzero(flags[:lo] >> wshift != parb[:lo])
                 flags[reset] = parb[reset].astype(code) << wshift | dirty
                 mark_predecessors(reset.tolist() if len(reset) <= _K else reset)
+                stats.reset_vertices += len(reset)
             li = 0
         else:
             if lo and freeze:

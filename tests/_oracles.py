@@ -3,10 +3,11 @@
 These deliberately share no code with the production paths: the attractor
 is the textbook iterate-until-stable set computation and reachability is a
 plain BFS.  The DFI references import nothing from ``parityfix.solver``:
-``freezing_loop`` (reported by ``reference_freezing``) and ``basic_loop``
-(reported by ``reference_basic``) are plain per-pass loops over every
-vertex of a level, the freezing one with event callbacks for the tests
-that check the freeze discipline.  ``reference_verify`` is the
+``freezing_loop`` (reported by ``reference_freezing`` with the paper's
+reset and by ``reference_justified`` with the kernel's justified one) and
+``basic_loop`` (reported by ``reference_basic``) are plain per-pass loops
+over every vertex of a level, the freezing one with event callbacks for
+the tests that check the freeze discipline.  ``reference_verify`` is the
 per-vertex solution verifier that walks the successor and winner tuples
 and runs Tarjan over every claimed vertex.  ``reference_first_error`` is
 the per-edge walk that names the error the game constructor raises.
@@ -341,12 +342,21 @@ class FreezingEvents:
     def on_reset(self, v: int, priority: int) -> None:
         pass
 
+    def on_walk(self, v: int, priority: int) -> None:
+        """The justification walk reaches ``v`` (before resetting it, if it does)."""
+
+    def on_sweep(self, priority: int, z, st) -> None:
+        """A level's additions have frozen and reset the lower levels; ``z``
+        and ``st`` are the loop's live z bytes and strategy slots, to be read
+        only."""
+
 
 @dataclass
 class LoopStats:
     passes: int = 0
     additions: int = 0
     resets: int = 0
+    reset_vertices: int = 0
     freezes: int = 0
     evaluations: int = 0
     state_bytes: int = 0
@@ -358,16 +368,29 @@ class LoopOutcome:
     stats: LoopStats
 
 
-def freezing_loop(game, hooks, stats):
+def freezing_loop(game, hooks, stats, *, justified=False):
     """Freezing DFI on a priority-sorted game, one plain loop per pass.
 
     Every pass evaluates every unfrozen non-Z vertex of its level, and every
-    freeze, reset and thaw walks all lower vertices.  The production engine
-    must reproduce its winners, strategies and pass, addition, reset
-    and freeze counts.  Returns the z bytes and the strategy slots.
+    freeze and thaw walks all lower vertices.  Without ``justified`` it runs
+    the paper's reset, which clears every unfrozen lower distraction; the
+    production engine must reproduce its winners.  With ``justified`` it
+    runs the production rule, and the engine must reproduce its winners,
+    strategies and pass, addition, reset and freeze counts: an evaluation
+    keeps a strategy slot that still wins, and after the freeze, a level's
+    additions reset only the unfrozen lower distractions whose
+    justification reaches them.  The walk goes backward from the additions
+    through the unfrozen lower vertices won by the level's player,
+    following every predecessor its opponent owns and each one its player
+    owns whose slot is the vertex walked from.  Returns the z bytes and the
+    strategy slots.
     """
     n = game.n
     succ = game.successors
+    pred = [[] for _ in range(n)]
+    for v in range(n):
+        for u in succ[v]:
+            pred[u].append(v)
     par = [p & 1 for p in game.priority]
     own = list(map(int, game.owner))
     d = game.max_priority
@@ -392,14 +415,15 @@ def freezing_loop(game, hooks, stats):
             if hooks:
                 hooks.on_evaluate(v, p)
             ow = own[v]
-            res = 1 - ow
-            choice = -1
-            for u in succ[v]:
-                if (par[u] ^ z[u]) == ow:
-                    res = ow
-                    choice = u
-                    break
+            choice = st[v] if justified else -1
+            if choice < 0 or (par[choice] ^ z[choice]) != ow:
+                choice = -1
+                for u in succ[v]:
+                    if (par[u] ^ z[u]) == ow:
+                        choice = u
+                        break
             st[v] = choice
+            res = ow if choice >= 0 else 1 - ow
             if res != alpha:
                 adds.append(v)
                 if hooks:
@@ -419,10 +443,32 @@ def freezing_loop(game, hooks, stats):
                     stats.freezes += 1
                     if hooks:
                         hooks.on_freeze(w, p, opp)
-                elif z[w]:
+                elif z[w] and not justified:
                     z[w] = 0
+                    stats.reset_vertices += 1
                     if hooks:
                         hooks.on_reset(w, p)
+            if justified:
+                seen = set()
+                todo = list(adds)
+                while todo:
+                    x = todo.pop()
+                    for u in pred[x]:
+                        if u >= lo or u in seen or f[u] or (par[u] ^ z[u]) != alpha:
+                            continue
+                        if own[u] == alpha and st[u] != x:
+                            continue
+                        seen.add(u)
+                        todo.append(u)
+                        if hooks:
+                            hooks.on_walk(u, p)
+                        if z[u]:
+                            z[u] = 0
+                            stats.reset_vertices += 1
+                            if hooks:
+                                hooks.on_reset(u, p)
+            if hooks:
+                hooks.on_sweep(p, z, st)
             li = 0
         else:
             fp = p + 1
@@ -443,11 +489,10 @@ def forward_map(to_parent) -> list[int]:
     return forward
 
 
-def reference_freezing(game: pf.ParityGame, hooks: FreezingEvents | None = None) -> LoopOutcome:
-    """``freezing_loop`` on ``game``, reported in the input's vertex order."""
+def _freezing_outcome(game, hooks, justified) -> LoopOutcome:
     sorted_game, to_parent = pf.sort_by_priority(game)
     stats = LoopStats()
-    z, st = freezing_loop(sorted_game, hooks, stats)
+    z, st = freezing_loop(sorted_game, hooks, stats, justified=justified)
     par = [p & 1 for p in sorted_game.priority]
     own = list(map(int, sorted_game.owner))
     fwd, bwd = forward_map(to_parent), to_parent.tolist()
@@ -458,6 +503,18 @@ def reference_freezing(game: pf.ParityGame, hooks: FreezingEvents | None = None)
         winner.append(pf.Player(w))
         strategy.append(bwd[st[s]] if own[s] == w and st[s] >= 0 else None)
     return LoopOutcome(pf.Solution(tuple(winner), tuple(strategy)), stats)
+
+
+def reference_freezing(game: pf.ParityGame, hooks: FreezingEvents | None = None) -> LoopOutcome:
+    """``freezing_loop`` on ``game`` with the paper's reset, reported in the
+    input's vertex order."""
+    return _freezing_outcome(game, hooks, False)
+
+
+def reference_justified(game: pf.ParityGame, hooks: FreezingEvents | None = None) -> LoopOutcome:
+    """``freezing_loop`` on ``game`` with the justified reset, reported in
+    the input's vertex order; the production kernel's freezing mode."""
+    return _freezing_outcome(game, hooks, True)
 
 
 def basic_loop(game, stats):
@@ -500,6 +557,7 @@ def basic_loop(game, stats):
             for w in range(lo):
                 if z[w]:
                     z[w] = 0
+                    stats.reset_vertices += 1
             li = 0
         else:
             li += 1

@@ -7,7 +7,7 @@ import time
 import parityfix as pf
 from parityfix import Player
 
-from _oracles import reference_freezing
+from _oracles import reference_justified
 from conftest import build_g1, build_g2
 from test_solver import Recorder, _run_record
 from test_verifier import broken_strategy_mutation, mutate_winner
@@ -113,7 +113,7 @@ def test_criterion_5_freezing_discipline():
         game = suite_game(seed, max_n=40, max_d=6)
         sorted_game, _ = pf.sort_by_priority(game)
         recorder = Recorder(sorted_game)
-        reference = reference_freezing(game, recorder)
+        reference = reference_justified(game, recorder)
         violations += len(recorder.violations)
         if _run_record(pf.solve_detailed(game)) != _run_record(reference):
             mismatches += 1
@@ -143,7 +143,7 @@ def test_criterion_6_engine_agreement():
             )
         )
         out = pf.solve_detailed(game)
-        if _run_record(out) != _run_record(reference_freezing(game)):
+        if _run_record(out) != _run_record(reference_justified(game)):
             mismatches += 1
         if not pf.verify(game, out.solution).ok:
             unverified += 1

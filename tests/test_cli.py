@@ -59,7 +59,7 @@ class TestSolveCommand:
         assert out_file.read_text() == "paritysol 1;\n0 0 1;\n1 0 0;\n"
         record = json.loads(captured.err)
         assert set(record) == {
-            "passes", "additions", "resets", "freezes", "evaluations",
+            "passes", "additions", "resets", "reset_vertices", "freezes", "evaluations",
             "wall_time_s", "state_bytes", "level_passes", "level_evaluations",
             "level_additions", "timed_out",
         }

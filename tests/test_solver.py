@@ -9,7 +9,14 @@ import parityfix as pf
 from parityfix import Player
 from parityfix import solver as solver_module
 
-from _oracles import FreezingEvents, onestep, reference_basic, reference_freezing, winner_of
+from _oracles import (
+    FreezingEvents,
+    onestep,
+    reference_basic,
+    reference_freezing,
+    reference_justified,
+    winner_of,
+)
 from conftest import seeded_game
 
 
@@ -172,10 +179,10 @@ def _distractions(game, solution):
 def _run_record(out):
     # equal solutions imply equal distractions
     st = out.stats
-    return out.solution, (st.passes, st.additions, st.resets, st.freezes)
+    return out.solution, (st.passes, st.additions, st.resets, st.reset_vertices, st.freezes)
 
 
-_REFERENCE = {"freezing": reference_freezing, "basic": reference_basic}
+_REFERENCE = {"freezing": reference_justified, "basic": reference_basic}
 
 
 def _check_mode(game, mode):
@@ -196,7 +203,7 @@ def _check_modes(game):
 @given(st.integers(0, 10**9))
 def test_engines_bit_identical(seed):
     game = seeded_game(seed, max_n=60)
-    assert _run_record(pf.solve_detailed(game)) == _run_record(reference_freezing(game))
+    assert _run_record(pf.solve_detailed(game)) == _run_record(reference_justified(game))
 
 
 @settings(max_examples=80, deadline=None)
@@ -232,7 +239,7 @@ def test_engines_bit_identical_detailed(seed, self_loop):
     # first pass through the numpy evaluator, later small dirty sets through
     # the Python one
     game = seeded_game(seed, max_n=2500, max_d=8, self_loop=self_loop)
-    assert _run_record(pf.solve_detailed(game)) == _run_record(reference_freezing(game))
+    assert _run_record(pf.solve_detailed(game)) == _run_record(reference_justified(game))
 
 
 def test_vector_engine_evaluates_fewer_vertices():
@@ -240,7 +247,7 @@ def test_vector_engine_evaluates_fewer_vertices():
         pf.GenParams(n=2000, max_priority=6, outdegree_lo=1, outdegree_hi=3,
                      self_loop_probability=0.0, seed=1)
     )
-    reference = reference_freezing(game)
+    reference = reference_justified(game)
     out = pf.solve_detailed(game)
     assert _run_record(out) == _run_record(reference)
     assert 0 < out.stats.evaluations < reference.stats.evaluations
@@ -253,7 +260,7 @@ def test_vector_engine_huge_priorities():
     )
     game = pf.ParityGame([p * 2**33 + (p & 1) for p in base.priority], base.owner, base.successors)
     out = pf.solve_detailed(game)
-    assert _run_record(out) == _run_record(reference_freezing(game))
+    assert _run_record(out) == _run_record(reference_justified(game))
     assert pf.verify(game, out.solution).ok
 
 
@@ -293,7 +300,7 @@ def test_engines_bit_identical_wide_layout(seed, levels):
     out = pf.solve_detailed(game)
     assert len(pf.sort_by_priority(game)[0].levels) == levels
     assert out.stats.state_bytes == game.n * 6
-    assert _run_record(out) == _run_record(reference_freezing(game))
+    assert _run_record(out) == _run_record(reference_justified(game))
 
 
 @pytest.mark.parametrize("levels, word_bytes", [(63, 1), (64, 2)])
@@ -364,7 +371,58 @@ def test_freeze_discipline_and_epoch_monotonicity(seed):
     recorder = Recorder(sorted_game)
     reference = reference_freezing(game, recorder)
     assert recorder.violations == []
+    # the paper's reset stays an independent oracle of the kernel's winners
+    assert reference.solution.winner == pf.solve(game).winner
     assert pf.verify(game, reference.solution).ok
+
+
+class JustificationWatch(Recorder):
+    """Also checks the justified reset: the walk reaches no frozen vertex
+    and no vertex at or above the sweeping level, the loop's z bytes equal
+    the mirror, and after every sweep each lower distraction still in Z
+    keeps a valid justification (its slot's target, or every successor,
+    won by its winner)."""
+
+    def on_walk(self, v, p):
+        if self.f[v] is not None:
+            self.violations.append(("walked-frozen", v, p))
+        if not self.game.priority[v] < p:
+            self.violations.append(("walked-not-below", v, p))
+
+    def on_sweep(self, p, z, st):
+        game = self.game
+        if list(z) != self.z:
+            self.violations.append(("z-differs-from-mirror", p))
+        parity = [q & 1 for q in game.priority]
+        for v, q in enumerate(game.priority):
+            if q >= p or not z[v]:
+                continue
+            w = parity[v] ^ 1
+            if int(game.owner[v]) == w:
+                held = st[v] >= 0 and parity[st[v]] ^ z[st[v]] == w
+            else:
+                held = all(parity[u] ^ z[u] == w for u in game.successors[v])
+            if not held:
+                self.violations.append(("justification-broken", v, p))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**9), st.sampled_from([0.0, 0.1]))
+def test_justified_reset_invariants(seed, self_loop):
+    game = seeded_game(seed, max_n=120, max_d=8, self_loop=self_loop)
+    watch = JustificationWatch(pf.sort_by_priority(game)[0])
+    reference = reference_justified(game, watch)
+    assert watch.violations == []
+    assert reference.solution.winner == pf.solve_zielonka(game).winner
+    assert pf.verify(game, reference.solution).ok
+
+
+@pytest.mark.parametrize("mode", ["freezing", "basic"])
+def test_reset_vertices_match_reference(mode):
+    for seed in range(20):
+        game = seeded_game(seed, min_n=100, max_n=400, max_d=8, self_loop=0.0)
+        stats = pf.solve_detailed(game, pf.SolverOptions(mode=mode)).stats
+        assert stats.reset_vertices == _REFERENCE[mode](game).stats.reset_vertices
 
 
 def test_trace_deterministic_across_runs():
