@@ -35,8 +35,15 @@ Anything else (a late header, an owner written ``01``, a 19-digit number,
 a non-ASCII digit, a label that is not UTF-8, any error) hands the whole
 text to the line scanner, which decodes it and raises or builds the same
 game through the constructor.  So every error, with its line, column and
-message, and every ``UnicodeDecodeError`` comes from the line scanner.  The
-writers read the game's arrays.
+message, and every ``UnicodeDecodeError`` comes from the line scanner.
+
+Both writers read the game's arrays and write ``_CHUNK`` vertices at a
+time, in ascending original id order, so their transient arrays stay
+small.  A chunk's numbers go, in output order, through ``_digits``, which
+writes them as ASCII digits into one ``uint8`` buffer and leaves after
+each number a gap of as many bytes as the separator or line end that
+follows it; the writer then fills the gaps by scatters.  The game writer
+copies in the UTF-8 bytes of the labels, for the labelled vertices only.
 """
 
 from __future__ import annotations
@@ -51,6 +58,7 @@ from .game import (
     ParityGame,
     Player,
     Solution,
+    _positions,
     _repeated_edge,
 )
 
@@ -63,7 +71,8 @@ _LABEL = re.compile(r'"([^"]*)"')
 _HEADER = re.compile(rb"(?:[ \t]*\r?\n)*[ \t]*parity[ \t]*[0-9]{1,18}[ \t]*;[ \t]*\r?$", re.M)
 
 _BLOCK = 1 << 16  # bytes per block of the array reader, cut at a line end
-_CHUNK = 1 << 12  # lines per chunk of ``write_solution``
+_CHUNK = 1 << 12  # vertices per chunk of the writers
+_POW10 = 10 ** np.arange(19, dtype=np.int64)  # 10**0 .. 10**18, for digit counts
 
 # Byte classes of the array reader, a translation table.  Spaces and
 # carriage returns make no tokens; digits and labels (quotes included, once
@@ -400,38 +409,90 @@ def _by_id(game: ParityGame) -> np.ndarray:
     return np.argsort(game._ids, kind="stable")
 
 
+def _digits(numbers: np.ndarray, gaps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Write int64 ``numbers`` (each at least 0) as ASCII digits into a
+    ``uint8`` buffer, each followed by ``gaps[i]`` bytes that the caller fills.
+
+    Returns the buffer and the offsets where each number's digits end and
+    its gap starts.  Each round writes the last digit still unwritten of
+    every number with digits left, so there are at most 19.
+    """
+    width = np.searchsorted(_POW10, numbers, side="right")
+    np.maximum(width, 1, out=width)  # 0 is written as one digit
+    ends = np.cumsum(width + gaps)
+    buf = np.empty(ends[-1], dtype=np.uint8)
+    ends -= gaps
+    at, rest = ends - 1, numbers
+    while len(rest):
+        high = rest // 10  # np.divmod is slower here
+        digit = rest - high * 10
+        digit += ord("0")
+        buf[at] = digit
+        more = high > 0
+        at, rest = at[more] - 1, high[more]
+    return buf, ends
+
+
 def write_pgsolver(game: ParityGame) -> str:
     """Serialize a game, vertices in ascending original id order.
 
     A label holding a double quote or a line break has no PGSolver form, so
-    it raises ``ValueError``.
+    it raises ``ValueError``, naming the first such vertex in id order.
     """
     if game.n == 0:
         return ""
     indptr, targets, _ = game._csr
-    ids = list(map(str, game._ids.tolist()))
-    succ = list(map(ids.__getitem__, targets.tolist()))
-    bounds = indptr.tolist()
-    priority = game._priority.tolist()
-    owner = game._owner_bits.tolist()
-    out = [f"parity {game._ids.max()};"]
-    for v in _by_id(game).tolist():
-        label = game.label[v]
-        if label is not None and ('"' in label or "\n" in label):
-            raise ValueError(f"vertex {ids[v]}: label {label!r} cannot be written")
-        lbl = f' "{label}"' if label is not None else ""
-        row = ",".join(succ[bounds[v] : bounds[v + 1]])
-        out.append(f"{ids[v]} {priority[v]} {owner[v]} {row}{lbl};")
-    return "\n".join(out) + "\n"
+    ids = game._ids
+    order = _by_id(game)
+    # bytes() of a list of bools is faster than np.array of it
+    has_label = np.frombuffer(bytes([label is not None for label in game.label]), dtype=bool)
+    out = [f"parity {ids.max()};\n"]
+    for a in range(0, game.n, _CHUNK):
+        vs = order[a : a + _CHUNK]
+        labelled = np.flatnonzero(has_label[vs])
+        texts = []
+        for v in vs[labelled].tolist():
+            label = game.label[v]
+            if '"' in label or "\n" in label:
+                raise ValueError(f"vertex {ids[v]}: label {label!r} cannot be written")
+            texts.append(label.encode("utf-8", "surrogatepass"))
+        # a line holds the id, priority and owner bit, then the successor ids
+        edges, bounds = _positions(indptr, vs)
+        line = 3 * np.arange(len(vs))
+        first = bounds[:-1] + line
+        last = bounds[1:] + line + 2
+        numbers = np.empty(last[-1] + 1, dtype=np.int64)
+        succ = np.ones(len(numbers), dtype=bool)
+        for k, column in enumerate((ids, game._priority, game._owner_bits)):
+            numbers[first + k] = column[vs]
+            succ[first + k] = False
+        numbers[succ] = ids[targets[edges]]
+        size = np.fromiter(map(len, texts), dtype=np.int64, count=len(texts))
+        gaps = np.ones(len(numbers), dtype=np.int64)
+        gaps[last] = 2  # ";\n"
+        gaps[last[labelled]] += size + 3  # ' "<label>"' before it
+        buf, ends = _digits(numbers, gaps)
+        buf[ends] = ord(",")
+        for k in range(3):
+            buf[ends[first + k]] = ord(" ")
+        stop = ends[last] + gaps[last]
+        buf[stop - 2] = ord(";")
+        buf[stop - 1] = ord("\n")
+        if texts:
+            at = ends[last[labelled]]
+            buf[at] = ord(" ")
+            buf[at + 1] = ord('"')
+            buf[at + 2 + size] = ord('"')
+            blob = np.frombuffer(b"".join(texts), dtype=np.uint8)
+            dest = np.arange(len(blob), dtype=np.int64)
+            dest += np.repeat(at + 2 - (np.cumsum(size) - size), size)
+            buf[dest] = blob
+        out.append(str(buf, "utf-8", "surrogatepass"))
+    return "".join(out)
 
 
 def write_solution(game: ParityGame, sol: Solution) -> str:
-    """Serialize winners and strategies, vertices in ascending original id order.
-
-    The text is joined in chunks of ``_CHUNK`` lines, each read off the
-    arrays on its own, so only one chunk's Python ints and line strings are
-    alive at a time.
-    """
+    """Serialize winners and strategies, vertices in ascending original id order."""
     if game.n == 0:
         return ""
     if sol.n != game.n:
@@ -442,9 +503,20 @@ def write_solution(game: ParityGame, sol: Solution) -> str:
     for a in range(0, game.n, _CHUNK):
         vs = order[a : a + _CHUNK]
         choice = sol.choice[vs]
-        # a vertex without a strategy (-1) reads the last id, unused
-        rows = zip(ids[vs].tolist(), sol.win[vs].tolist(), choice.tolist(), ids[choice].tolist())
-        out.append("".join(f"{i} {w} {t};\n" if s >= 0 else f"{i} {w};\n" for i, w, s, t in rows))
+        has = choice >= 0
+        # a line holds the id and the winner bit, then the strategy's id if any
+        last = np.cumsum(2 + has) - 1
+        numbers = np.empty(last[-1] + 1, dtype=np.int64)
+        numbers[last - has - 1] = ids[vs]
+        numbers[last - has] = sol.win[vs]
+        numbers[last[has]] = ids[choice[has]]
+        gaps = np.ones(len(numbers), dtype=np.int64)
+        gaps[last] = 2  # ";\n"
+        buf, ends = _digits(numbers, gaps)
+        buf[ends] = ord(" ")
+        buf[ends[last]] = ord(";")
+        buf[ends[last] + 1] = ord("\n")
+        out.append(str(buf, "ascii"))
     return "".join(out)
 
 

@@ -275,8 +275,7 @@ class ParityGame:
         """Reverse adjacency, built lazily and cached.
 
         Each vertex's predecessors come in ascending order, read off the
-        reverse CSR, whose stable sort keeps the sources of a target in
-        edge order.
+        reverse CSR.
         """
         rev_indptr, sources = self._reverse_csr
         src = sources.tolist()
@@ -290,12 +289,24 @@ class ParityGame:
 
     @cached_property
     def _reverse_csr(self) -> tuple[np.ndarray, np.ndarray]:
-        """(indptr, edge sources) of the reverse edges, grouped by target."""
+        """(indptr, edge sources) of the reverse edges, grouped by target,
+        each target's sources ascending.
+
+        The edges are sorted, in place, by the int64 key ``target * n +
+        source``, and the sources read back as ``key % n``: the order of a
+        stable argsort of the targets, which numpy runs as a slower timsort.
+        Games have n < 2**31, so the keys stay below n**2 < 2**62.
+        """
+        n = self.n
         indptr, targets, _ = self._csr
-        rev_indptr = np.zeros(self.n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(targets, minlength=self.n), out=rev_indptr[1:])
-        sources = np.repeat(np.arange(self.n, dtype=np.int32), np.diff(indptr))
-        return rev_indptr, sources[np.argsort(targets, kind="stable")]
+        rev_indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(targets, minlength=n), out=rev_indptr[1:])
+        keys = targets.astype(np.int64)
+        keys *= n
+        keys += np.repeat(np.arange(n, dtype=np.int32), np.diff(indptr))
+        keys.sort()
+        keys %= n
+        return rev_indptr, keys.astype(np.int32)
 
     @cached_property
     def levels(self) -> tuple[tuple[int, int, int], ...]:

@@ -18,7 +18,8 @@ chains it after ``sequential_self_loops``, one attractor per loop, and
 ``reference_reduction`` chains ``reference_upstream``, a round-by-round
 drop of the vertices that nothing alive points to, after that.
 ``winner_of`` and ``onestep`` are the one-step semantics of DFI on flag
-sets.
+sets.  ``reference_write_pgsolver`` and ``reference_write_solution`` are
+the writers that format one line at a time with f-strings.
 """
 
 from __future__ import annotations
@@ -26,6 +27,8 @@ from __future__ import annotations
 from array import array
 from collections import deque
 from dataclasses import dataclass
+
+import numpy as np
 
 import parityfix as pf
 from parityfix import (
@@ -714,3 +717,59 @@ def reference_verify(game: ParityGame, sol: Solution) -> VerificationReport:
                 if rest:
                     work.append(rest)
     return VerificationReport(not violations, tuple(violations))
+
+
+def _by_id(game: ParityGame) -> np.ndarray:
+    """The vertices in ascending original id order."""
+    return np.argsort(game._ids, kind="stable")
+
+
+def reference_write_pgsolver(game: ParityGame) -> str:
+    """Serialize a game, vertices in ascending original id order.
+
+    A label holding a double quote or a line break has no PGSolver form, so
+    it raises ``ValueError``.
+    """
+    if game.n == 0:
+        return ""
+    indptr, targets, _ = game._csr
+    ids = list(map(str, game._ids.tolist()))
+    succ = list(map(ids.__getitem__, targets.tolist()))
+    bounds = indptr.tolist()
+    priority = game._priority.tolist()
+    owner = game._owner_bits.tolist()
+    out = [f"parity {game._ids.max()};"]
+    for v in _by_id(game).tolist():
+        label = game.label[v]
+        if label is not None and ('"' in label or "\n" in label):
+            raise ValueError(f"vertex {ids[v]}: label {label!r} cannot be written")
+        lbl = f' "{label}"' if label is not None else ""
+        row = ",".join(succ[bounds[v] : bounds[v + 1]])
+        out.append(f"{ids[v]} {priority[v]} {owner[v]} {row}{lbl};")
+    return "\n".join(out) + "\n"
+
+
+_CHUNK = 1 << 12  # lines per chunk of ``reference_write_solution``
+
+
+def reference_write_solution(game: ParityGame, sol: Solution) -> str:
+    """Serialize winners and strategies, vertices in ascending original id order.
+
+    The text is joined in chunks of ``_CHUNK`` lines, each read off the
+    arrays on its own, so only one chunk's Python ints and line strings are
+    alive at a time.
+    """
+    if game.n == 0:
+        return ""
+    if sol.n != game.n:
+        raise ValueError("solution does not match the game")
+    ids = game._ids
+    order = _by_id(game)
+    out = [f"paritysol {ids.max()};\n"]
+    for a in range(0, game.n, _CHUNK):
+        vs = order[a : a + _CHUNK]
+        choice = sol.choice[vs]
+        # a vertex without a strategy (-1) reads the last id, unused
+        rows = zip(ids[vs].tolist(), sol.win[vs].tolist(), choice.tolist(), ids[choice].tolist())
+        out.append("".join(f"{i} {w} {t};\n" if s >= 0 else f"{i} {w};\n" for i, w, s, t in rows))
+    return "".join(out)

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 import parityfix as pf
 from parityfix import formats
 
+from _oracles import reference_write_pgsolver, reference_write_solution
 from conftest import DATA, build_g1, build_g2, seeded_game
 
 
@@ -350,6 +351,105 @@ class TestWriteGame:
         text = pf.write_pgsolver(game)
         again = pf.parse_pgsolver(text)
         assert games_equal(again, game)
+
+
+# ids whose digit count changes, and the largest int64
+_EDGE_IDS = [0, 9, 10, 99, 100, 10**18 - 1, 10**18, 2**63 - 1]
+_REFUSED_LABELS = ['a"b', "a\nb", '"', "\n"]
+
+
+@st.composite
+def written_games(draw, refused: bool = False):
+    """A seeded game with sparse, unordered ids and labels (among them, if
+    ``refused``, ones that cannot be written), and a solution in which some
+    vertices have a strategy and some do not."""
+    game = seeded_game(draw(st.integers(0, 10**9)), max_n=60)
+    n = game.n
+    ids = draw(
+        st.lists(
+            st.sampled_from(_EDGE_IDS) | st.integers(0, 2**63 - 1),
+            min_size=n,
+            max_size=n,
+            unique=True,
+        )
+    )
+    label = st.sampled_from(["", "café", "x;y", "a\rb", "\t", "\ud800", "\U0001f600"])
+    label |= st.text(st.characters(exclude_characters='"\n'), max_size=5)
+    if refused:
+        label |= st.sampled_from(_REFUSED_LABELS)
+    labels = draw(st.lists(st.none() | label, min_size=n, max_size=n))
+    game = pf.ParityGame(game.priority, game.owner, game.successors, ids, labels)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sol = pf.Solution(rng.integers(0, 2, n), rng.integers(-1, n, n))
+    return game, sol
+
+
+def _written(write, *args):
+    try:
+        return write(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def _chunk_sizes():
+    """The writers' chunk size, then 7 vertices, so most games span chunks."""
+    for chunk in (formats._CHUNK, 7):
+        with mock.patch.object(formats, "_CHUNK", chunk):
+            yield chunk
+
+
+class TestWritersMatchReference:
+    """The array writers give the bytes of the per-line f-string writers."""
+
+    def _check(self, game: pf.ParityGame, sol: pf.Solution) -> None:
+        for _ in _chunk_sizes():
+            want = _written(reference_write_pgsolver, game)
+            assert _written(pf.write_pgsolver, game) == want
+            assert _written(pf.write_solution, game, sol) == reference_write_solution(game, sol)
+
+    @settings(max_examples=150, deadline=None)
+    @given(written_games())
+    def test_seeded_games(self, case):
+        self._check(*case)
+
+    @settings(max_examples=80, deadline=None)
+    @given(written_games(refused=True))
+    def test_refused_labels(self, case):
+        # the same ValueError, naming the first refused vertex in id order
+        self._check(*case)
+
+    @pytest.mark.parametrize("label", [None, "", "café", *_REFUSED_LABELS])
+    @pytest.mark.parametrize("vid", _EDGE_IDS)
+    def test_one_vertex(self, vid, label):
+        game = pf.ParityGame([vid], [1], [[0]], original_id=[vid], label=[label])
+        for strategy in ([None], [0]):
+            self._check(game, pf.Solution([1], strategy))
+
+    def test_empty_game(self):
+        self._check(pf.ParityGame([], [], []), pf.Solution((), ()))
+
+    def test_solution_of_wrong_size(self, g1):
+        sol = pf.Solution([0], [None])
+        with pytest.raises(ValueError, match="^solution does not match the game$"):
+            pf.write_solution(g1, sol)
+        assert _written(pf.write_solution, g1, sol) == _written(reference_write_solution, g1, sol)
+
+    def test_generated_game_spans_chunks(self):
+        params = pf.GenParams(n=3 * formats._CHUNK + 5, max_priority=8, seed=5)
+        game = pf.random_game(params)
+        n = game.n
+        ids = 2**63 - 1 - 7919 * np.arange(n, dtype=np.int64)  # descending, 19 digits
+        labels = [None if v % 5 else f"v{v}" for v in range(n)]
+        labelled = pf.ParityGame(game.priority, game.owner, game.successors, ids, labels)
+        sol = pf.solve(labelled)
+        self._check(labelled, sol)
+        # refused labels in two chunks: the vertex stored first has the
+        # larger id, so the other one is named
+        labels[10], labels[n - 10] = "a\nb", 'a"b'
+        refused = pf.ParityGame(game.priority, game.owner, game.successors, ids, labels)
+        with pytest.raises(ValueError, match=f"^vertex {ids[n - 10]}: "):
+            pf.write_pgsolver(refused)
+        self._check(refused, pf.Solution(sol.win, np.full(n, -1)))
 
 
 class TestSolutionFormat:

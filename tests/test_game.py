@@ -342,6 +342,28 @@ class TestArrays:
         assert game.predecessors == ()
         assert game._csr[0].tolist() == [0]
 
+    @pytest.mark.parametrize(
+        "game",
+        [
+            *(seeded_game(seed, max_n=300, max_d=8, self_loop=0.2) for seed in range(30)),
+            pf.ParityGame([], [], []),
+            pf.ParityGame([3], [1], [[0]]),
+            pf.ParityGame([0, 1, 2], [0, 1, 0], [[0], [1], [2]]),
+            pf.ParityGame([0] * 4, [0] * 4, [[3, 1, 2], [3, 0], [0, 3, 1], [2, 1, 0, 3]]),
+        ],
+        ids=[*(f"seed{seed}" for seed in range(30)), "empty", "one", "self-loops", "complete"],
+    )
+    def test_reverse_csr_matches_stable_argsort(self, game):
+        # the sort key's order is the stable argsort's, and the solver's
+        # kernel needs each target's sources (its predecessors) ascending
+        indptr, targets, _ = game._csr
+        sources = np.repeat(np.arange(game.n, dtype=np.int32), np.diff(indptr))
+        rev_indptr, rev_sources = game._reverse_csr
+        assert rev_sources.dtype == np.int32
+        assert rev_sources.tolist() == sources[np.argsort(targets, kind="stable")].tolist()
+        assert rev_indptr.tolist() == [0, *np.cumsum(np.bincount(targets, minlength=game.n)).tolist()]
+        assert all(list(p) == sorted(p) for p in game.predecessors)
+
 
 def _stored(game: pf.ParityGame) -> tuple[np.ndarray, ...]:
     return (*game._csr, game._owner_bits, game._parity_bits, game._priority, game._ids)
