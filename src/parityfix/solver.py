@@ -8,77 +8,66 @@ lowest priority upward, and whenever a level gains distractions all lower
 levels are recomputed.  The final winners are read off the flags.
 
 The two modes differ in the reset that follows a level's additions.  Basic
-mode resets every lower distraction, so it yields regions only.  Freezing
-mode first freezes every unfrozen lower vertex that the opponent of the
-level's player now wins: a frozen vertex is not evaluated and keeps its
-strategy slot until the level that froze it completes a pass without
-additions, which is what makes the recorded slots a winning strategy by
-the end of the run.  Then it resets only the lower distractions whose
-justification reaches the new ones (the justification rule of Lapauw,
-Bruynooghe and Denecker, VMCAI 2020).  A vertex's justification is its
-strategy slot when its owner wins it, and all its edges otherwise.  The
-reset walks backward from the new distractions through the lower vertices
-that are unfrozen and won by the level's player: it follows every such
+mode resets every lower distraction, so it yields regions only.  Strategy
+mode (``mode="freezing"``, after the paper's name for it) resets only the
+lower distractions whose justification reaches the new ones (the
+justification rule of Lapauw, Bruynooghe and Denecker, VMCAI 2020).  A
+vertex's justification is its strategy slot when its owner wins it, and all
+its edges otherwise.  The reset walks backward from the new distractions
+through the lower vertices won by the level's player: it follows every such
 predecessor that the opponent owns, and one that the player owns only when
 its slot is the vertex walked from.  It resets the distractions it reaches
 and walks on through the other vertices, since a distraction kept in Z may
 be justified through them.
 
-Freezing comes first because a reset vertex is won by the opponent too: a
-freeze after the reset would keep it out of the recomputation with an
-estimate no evaluation made.  Frozen vertices never enter the walk.  Those
-this sweep freezes are won by the opponent, so their justifications hold
-only vertices the opponent won, never the new distractions, which the
-level's player won until now.  Those a higher level froze keep their
-estimate and slot until that level thaws them, as under the paper's reset.
-An evaluation keeps a vertex's slot while its target is still won by the
-vertex's owner, and picks the first winning successor in stored order only
-otherwise.  So a slot moves only when its justification broke, and
-distractions never come to justify one another around a cycle that no walk
-from a new distraction enters.  Keeping a slot never changes a one-step
-result, so basic mode's counters are those of the paper's loop.
+The paper freezes the lower vertices that the opponent of the level's
+player wins, so that its reset, which clears every lower distraction,
+leaves their estimates and slots alone.  The walk needs no such guard.
+When a level adds distractions, the levels below it have just passed
+without additions, so every lower vertex has a valid justification, and
+one that the opponent wins is justified by vertices the opponent wins.  The
+new distractions were won by the level's player until this pass, so no
+such justification reaches them: the walk never enters a vertex that the
+opponent wins, and no reset changes its estimate or its slot.
+The strategies rest on one invariant: after every reset, each distraction
+left in Z keeps a valid justification (its slot's target, or every
+successor, won by its winner).  An evaluation keeps a vertex's slot while
+its target is still won by the vertex's owner, and picks the first winning
+successor in stored order only otherwise.  So a slot moves only when its
+justification broke, and distractions never come to justify one another
+around a cycle that no walk from a new distraction enters.  Keeping a slot
+never changes a one-step result, so basic mode's counters are those of the
+paper's loop.
 
 A pass evaluates the vertices of its level against the flags as they
 stand when the pass starts: it collects the level's new distractions in a
 list and sets their z bits only when the pass ends.  No flag moves during
 a pass, so no copy of the flags is needed.
 
-Both modes run on one kernel, ``_dfi``, whose ``freeze`` switch chooses
+Both modes run on one kernel, ``_dfi``, whose ``justified`` switch chooses
 the reset.  It is a worklist over dirty vertices.  A vertex's one-step
 result depends only on its successors' winner bits, so it is re-evaluated
-only when it is dirty: every vertex starts dirty, a reset vertex becomes dirty,
-and so does every predecessor of a vertex that is added to Z or reset.  A
-pass evaluates the unfrozen, non-Z dirty vertices of its level and clears
-their dirty bits.  Frozen vertices keep their dirty bit until they are
-thawed.  A dirty set of at most ``_K`` vertices is evaluated, and its
-additions' predecessors marked, in a Python loop; a larger set goes
-through a numpy gather over the CSR edge arrays and a reverse-CSR
-scatter.  The justification walk is a Python loop over the ascending
-predecessor tuples, which stops at the level's first vertex.
+only when it is dirty: every vertex starts dirty, a reset vertex becomes
+dirty, and so does every predecessor of a vertex that is added to Z or
+reset.  A pass evaluates the non-Z dirty vertices of its level and clears
+their dirty bits.  A dirty set of at most ``_K`` vertices is evaluated, and
+its additions' predecessors marked, in a Python loop; a larger set goes
+through a numpy gather over the CSR edge arrays and a reverse-CSR scatter.
+The justification walk is a Python loop over the ascending predecessor
+tuples, which stops at the level's first vertex.
 
-Its state is one flags word and one int32 strategy slot per vertex.  A
-flags word holds, from the top bit down, the estimated winner bit (parity
-^ z), the dirty bit and a freeze field with the freezing level's index + 1
-(0: not frozen).  The evaluators read winner bits straight off the words,
-and so do the final winners; z is ``winner ^ parity``.  At a level of parity
-alpha the vertices to evaluate are exactly those whose word equals
-``alpha << top | dirty``: won by alpha (so not in Z), dirty and unfrozen.
-
-Up to 63 levels (distinct priorities) the word is one byte in a
-``bytearray``, and selecting, freezing and thawing are C-level byte
-operations over it (``_byte_helpers``): ``count`` and ``find`` list a
-level's vertices to evaluate; one ``translate`` over the lower levels
-freezes them, and one thaws them, with 256-byte tables built once per
-solve.  These cost a few microseconds per pass over thousands of
-vertices, where numpy calls cost that much each.  With more levels the
-word is 16 bits wide (32 above 16383 levels), which the byte operations
-cannot address, so the same pass loop calls numpy sweeps instead
-(``_wide_helpers``); a second per-vertex byte buffer would add to the
-state the solver keeps.  Both containers are shared with a numpy view of
-the same memory for the large-set branches.  Basic mode uses only the
-selection of these helpers: on every layout its reset is one numpy pass
-over the lower levels that sets each vertex whose winner bit differs from
-its parity back to ``parity << top | dirty``.
+Its state is one flag byte and one int32 strategy slot per vertex, at every
+level count.  A flag byte holds the estimated winner bit (parity ^ z) over
+the dirty bit.  The evaluators read winner bits straight off the bytes, and
+so do the final winners; z is ``winner ^ parity``.  At a level of parity
+alpha the vertices to evaluate are exactly those whose byte equals
+``alpha << 1 | 1``: won by alpha (so not in Z) and dirty.  The bytes sit in
+a ``bytearray``, whose ``count`` and ``find`` list them in a few
+microseconds per pass over thousands of vertices, where numpy calls cost
+that much each.  A numpy view of the same memory serves the large-set
+branches and basic mode's reset: one numpy pass over the lower levels that
+sets each vertex whose winner bit differs from its parity back to
+``parity << 1 | 1``.
 """
 
 from __future__ import annotations
@@ -99,14 +88,14 @@ from .game import (
     sort_by_priority,
 )
 
-# The freezing engine lists a dirty set of at most this many vertices in
-# Python (``find`` on the byte layout) and evaluates it in a Python loop; a
-# larger set is listed and evaluated with numpy.  The same split decides how
-# the predecessors of changed vertices are marked.  Thread CPU of the two
-# seed-0 core-10k games after preprocessing (best of 3; Python 3.11, numpy
-# 2.4, a 2-vCPU x86-64 host): 2.16 and 2.91 s at 64, 2.74 and 3.11 s with
-# the Python loop at every size, 6.50 and 7.71 s with numpy at every size.
-# Passes, additions, resets and freezes are the same at every setting.
+# The kernel lists a dirty set of at most this many vertices with ``find``
+# and evaluates it in a Python loop; a larger set is listed and evaluated
+# with numpy.  The same split decides how the predecessors of changed
+# vertices are marked.  Thread CPU of strategy mode on the two seed-0
+# core-10k games after preprocessing (best of 5; Python 3.11, numpy 2.4, a
+# 2-vCPU x86-64 host): 36 and 33 ms at 64, 39 and 34 ms with the Python
+# loop at every size, 112 and 111 ms with numpy at every size.  Passes,
+# additions, resets and evaluations are the same at every setting.
 _K = 64
 
 
@@ -130,6 +119,8 @@ class SolverStats:
     resets: int = 0
     # vertices moved out of Z by those resets
     reset_vertices: int = 0
+    # always 0: the paper's freezing is replaced by the justified reset; the
+    # field stays for the readers of the counters (bench CSV, perfbench)
     freezes: int = 0
     # vertices evaluated; both modes skip the vertices whose successors'
     # winner bits have not changed since their last evaluation
@@ -161,20 +152,7 @@ def _check_deadline(deadline: float | None) -> None:
 # ---------------------------------------------------------------- kernel
 
 
-def _flag_layout(levels: int) -> tuple[str, int]:
-    """Typecode of the flags word and the shift of its winner bit.
-
-    Below the winner bit sits the dirty bit, and below that a freeze field
-    wide enough for the level index + 1.
-    """
-    if levels <= 63:
-        return "B", 7
-    if levels <= 16383:
-        return "H", 15
-    return "I", 31
-
-
-def _eval_indices(indptr, targets, edge_owner, owner_bits, flags, strat, wshift, gidx):
+def _eval_indices(indptr, targets, edge_owner, owner_bits, flags, strat, gidx):
     """One-step evaluation of the vertices listed in ``gidx`` against the
     winner bits read from ``flags``.
 
@@ -184,7 +162,7 @@ def _eval_indices(indptr, targets, edge_owner, owner_bits, flags, strat, wshift,
     """
     pos, bounds = _positions(indptr, gidx)
     tg = targets[pos]
-    good = (flags[tg] >> wshift) == edge_owner[pos]
+    good = (flags[tg] >> 1) == edge_owner[pos]
     hits = np.flatnonzero(good)
     fh = np.searchsorted(hits, bounds[:-1], side="left")
     eh = np.empty_like(fh)
@@ -199,83 +177,12 @@ def _eval_indices(indptr, targets, edge_owner, owner_bits, flags, strat, wshift,
         stratvals = np.full(len(gidx), -1, dtype=np.int32)
     ob = owner_bits[gidx]
     held = strat[gidx]
-    stratvals = np.where((held >= 0) & ((flags[held] >> wshift) == ob), held, stratvals)
+    stratvals = np.where((held >= 0) & ((flags[held] >> 1) == ob), held, stratvals)
     osbit = np.where(has, ob, 1 - ob).astype(np.uint8)
     return stratvals, osbit
 
 
-def _byte_helpers(fl, flags, levels):
-    """Select, sweep and thaw on the one-byte flags word ``fl``, as byte
-    operations (``count``, ``find``, ``translate``).
-
-    ``select(want, lo, hi)`` lists the vertices of ``[lo, hi)`` whose word
-    equals ``want``: a list of at most ``_K``, else an index array.
-    ``sweep(li, lo, lose)`` freezes the unfrozen vertices of ``[0, lo)``
-    that the opponent of level ``li``'s player wins after the level added
-    distractions, and returns their number; ``lose`` is the word of an
-    unfrozen vertex won by that opponent.
-    ``thaw(li, lo)`` unfreezes the vertices frozen by level ``li``.
-    """
-    dirty = 0x40
-    codes = np.arange(256)
-    # one row of each table per level, built in one broadcast
-    alphas = np.array([p & 1 for p, _, _ in levels], dtype=np.int64)[:, None]
-    ids = np.arange(1, len(levels) + 1)[:, None]
-    frozen = np.where(((codes & 0x3F) == 0) & (codes >> 7 != alphas), codes | ids, codes)
-    thawed = np.where((codes & 0x3F) == ids, codes & 0xC0, codes)
-    sweeps = [row.tobytes() for row in frozen.astype(np.uint8)]
-    thaws = [row.tobytes() for row in thawed.astype(np.uint8)]
-
-    count, find = fl.count, fl.find
-
-    def select(want, lo, hi):
-        k = count(want, lo, hi)
-        if k > _K:
-            return np.flatnonzero(flags[lo:hi] == want) + lo
-        out = []
-        v = lo - 1
-        for _ in range(k):
-            v = find(want, v + 1, hi)
-            out.append(v)
-        return out
-
-    def sweep(li, lo, lose):
-        # freezes are counted at the event, so partial stats stay honest
-        nfr = count(lose, 0, lo) + count(lose | dirty, 0, lo)
-        fl[:lo] = fl[:lo].translate(sweeps[li])
-        return nfr
-
-    def thaw(li, lo):
-        fl[:lo] = fl[:lo].translate(thaws[li])
-
-    return select, sweep, thaw
-
-
-def _wide_helpers(flags, wshift):
-    """Select, sweep and thaw as numpy sweeps over a 16- or 32-bit flags
-    word; the same contracts as ``_byte_helpers``."""
-    wbit = 1 << wshift
-    dirty = wbit >> 1
-    field = dirty - 1
-
-    def select(want, lo, hi):
-        sel = np.flatnonzero(flags[lo:hi] == want) + lo
-        return sel if len(sel) > _K else sel.tolist()
-
-    def sweep(li, lo, lose):
-        low = flags[:lo]
-        fr = ((low & field) == 0) & ((low >> wshift) == (lose >> wshift))
-        np.bitwise_or(low, li + 1, out=low, where=fr)
-        return int(np.count_nonzero(fr))
-
-    def thaw(li, lo):
-        low = flags[:lo]
-        np.bitwise_and(low, wbit | dirty, out=low, where=(low & field) == li + 1)
-
-    return select, sweep, thaw
-
-
-def _dfi(game, deadline, stats, freeze):
+def _dfi(game, deadline, stats, justified):
     n = game.n
     succ = game.successors
     pred = game.predecessors
@@ -286,25 +193,18 @@ def _dfi(game, deadline, stats, freeze):
     indptr, targets, edge_owner = game._csr
     rev_indptr, sources = game._reverse_csr
     levels = game.levels
-    code, wshift = _flag_layout(len(levels))
-    wbit = 1 << wshift
-    dirty = wbit >> 1
-    # every vertex starts dirty and won by the player of its parity; Python
-    # containers for per-vertex reads and writes, numpy views of the same
-    # memory for sweeps
-    word = (parb.astype(code) << wshift | dirty).tobytes()
-    fl = bytearray(word) if code == "B" else array(code, word)
+    # one flag byte per vertex: the winner bit (bit 1) over the dirty bit
+    # (bit 0); every vertex starts dirty and won by the player of its parity
+    fl = bytearray((parb << 1 | 1).tobytes())
     st = array("i", [-1]) * n
-    flags = np.frombuffer(fl, dtype=code)
+    # numpy views of the same memory, for the large-set branches
+    flags = np.frombuffer(fl, dtype=np.uint8)
     strat = np.frombuffer(st, dtype=np.int32)
     stats.state_bytes = flags.nbytes + strat.nbytes
     level_passes = stats.level_passes = [0] * len(levels)
     level_evaluations = stats.level_evaluations = [0] * len(levels)
     level_additions = stats.level_additions = [0] * len(levels)
-    if code == "B":
-        select, sweep, thaw = _byte_helpers(fl, flags, levels)
-    else:
-        select, sweep, thaw = _wide_helpers(flags, wshift)
+    count, find = fl.count, fl.find
 
     def mark_predecessors(vs):
         """Mark dirty the predecessors of ``vs``, whose winner bits just changed.
@@ -314,22 +214,21 @@ def _dfi(game, deadline, stats, freeze):
         if len(vs) <= _K:
             for u in vs:
                 for w in pred[u]:
-                    fl[w] |= dirty
+                    fl[w] |= 1
         else:
             pos, _ = _positions(rev_indptr, vs)
-            flags[sources[pos]] |= dirty
+            flags[sources[pos]] |= 1
 
-    def walk(adds, lo, alpha, lose):
+    def walk(adds, lo, alpha):
         """Reset the distractions of ``[0, lo)`` whose justification reaches
         ``adds``, the level's new distractions, and return their number.
 
-        The walk goes backward from ``adds`` over the unfrozen vertices won
-        by ``alpha``, the level's player (after the sweep, all unfrozen
-        vertices of ``[0, lo)`` are), following every predecessor that the
+        The walk goes backward from ``adds`` over the vertices won by
+        ``alpha``, the level's player, following every predecessor that the
         opponent owns and each one the player owns whose slot is the vertex
         walked from.  It goes on through the vertices it does not reset.
         """
-        won = lose ^ wbit
+        back = (1 - alpha) << 1 | 1  # reset: won by the opponent, and dirty
         seen = set()
         todo = list(adds)
         reset = []
@@ -337,11 +236,11 @@ def _dfi(game, deadline, stats, freeze):
             for u in pred[x]:
                 if u >= lo:
                     break  # predecessors come in ascending order
-                if fl[u] & ~dirty == won and u not in seen and (own[u] != alpha or st[u] == x):
+                if fl[u] >> 1 == alpha and u not in seen and (own[u] != alpha or st[u] == x):
                     seen.add(u)
                     todo.append(u)
                     if par[u] != alpha:
-                        fl[u] = lose | dirty
+                        fl[u] = back
                         reset.append(u)
         mark_predecessors(reset if len(reset) <= _K else np.array(reset))
         return len(reset)
@@ -353,21 +252,24 @@ def _dfi(game, deadline, stats, freeze):
         level_passes[li] += 1
         p, lo, hi = levels[li]
         alpha = p & 1
-        keep = alpha << wshift  # evaluated and still won by the level's player
-        lose = keep ^ wbit  # added to Z: won by the opponent
-        sel = select(keep | dirty, lo, hi)
-        stats.evaluations += len(sel)
-        level_evaluations[li] += len(sel)
-        if type(sel) is list:
+        keep = alpha << 1  # evaluated and still won by the level's player
+        lose = keep ^ 2  # added to Z: won by the opponent
+        want = keep | 1  # dirty and won by the level's player, so not in Z
+        k = count(want, lo, hi)
+        stats.evaluations += k
+        level_evaluations[li] += k
+        if k <= _K:
             # every vertex is evaluated before any winner bit moves: snapshot semantics
             adds = []
-            for v in sel:
+            v = lo - 1
+            for _ in range(k):
+                v = find(want, v + 1, hi)
                 ow = own[v]
                 choice = st[v]
-                if choice < 0 or fl[choice] >> wshift != ow:
+                if choice < 0 or fl[choice] >> 1 != ow:
                     choice = -1
                     for u in succ[v]:
-                        if fl[u] >> wshift == ow:
+                        if fl[u] >> 1 == ow:
                             choice = u
                             break
                     st[v] = choice
@@ -378,9 +280,8 @@ def _dfi(game, deadline, stats, freeze):
                 fl[v] = lose
             mark_predecessors(adds)
         else:
-            stratvals, osbit = _eval_indices(
-                indptr, targets, edge_owner, owner_bits, flags, strat, wshift, sel
-            )
+            sel = np.flatnonzero(flags[lo:hi] == want) + lo
+            stratvals, osbit = _eval_indices(indptr, targets, edge_owner, owner_bits, flags, strat, sel)
             strat[sel] = stratvals
             flags[sel] = keep
             adds = sel[osbit != alpha]
@@ -391,23 +292,18 @@ def _dfi(game, deadline, stats, freeze):
             stats.additions += len(adds)
             level_additions[li] += len(adds)
             stats.resets += 1
-            if lo and freeze:
-                # freeze first: the vertices the walk resets are won by the
-                # opponent too, and must stay unfrozen
-                stats.freezes += sweep(li, lo, lose)
-                stats.reset_vertices += walk(adds, lo, alpha, lose)
+            if lo and justified:
+                stats.reset_vertices += walk(adds, lo, alpha)
             elif lo:
                 # basic mode: every lower distraction is reset
-                reset = np.flatnonzero(flags[:lo] >> wshift != parb[:lo])
-                flags[reset] = parb[reset].astype(code) << wshift | dirty
+                reset = np.flatnonzero(flags[:lo] >> 1 != parb[:lo])
+                flags[reset] = parb[reset] << 1 | 1
                 mark_predecessors(reset.tolist() if len(reset) <= _K else reset)
                 stats.reset_vertices += len(reset)
             li = 0
         else:
-            if lo and freeze:
-                thaw(li, lo)
             li += 1
-    return (flags >> wshift).astype(np.uint8), st
+    return flags >> 1, st
 
 
 # ---------------------------------------------------------------- driver
@@ -426,9 +322,9 @@ def solve_detailed(game: ParityGame, options: SolverOptions | None = None) -> Df
     t0 = time.perf_counter()
     deadline = _deadline(opts.timeout_s, t0)
 
-    freeze = opts.mode == "freezing"
+    justified = opts.mode == "freezing"
     try:
-        won, st = _dfi(sorted_game, deadline, stats, freeze)
+        won, st = _dfi(sorted_game, deadline, stats, justified)
     except SolveTimeoutError as exc:
         stats.wall_time_s = time.perf_counter() - t0
         exc.stats = stats
@@ -439,7 +335,7 @@ def solve_detailed(game: ParityGame, options: SolverOptions | None = None) -> Df
     win = np.empty(len(won), dtype=np.uint8)
     win[to_parent] = won
     choice = np.full(len(won), -1, dtype=np.int64)
-    if freeze:
+    if justified:
         strat = np.frombuffer(st, dtype=np.int32)
         chosen = np.flatnonzero((sorted_game._owner_bits == won) & (strat >= 0))
         choice[to_parent[chosen]] = to_parent[strat[chosen]]

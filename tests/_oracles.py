@@ -3,11 +3,13 @@
 These deliberately share no code with the production paths: the attractor
 is the textbook iterate-until-stable set computation and reachability is a
 plain BFS.  The DFI references import nothing from ``parityfix.solver``:
-``freezing_loop`` (reported by ``reference_freezing`` with the paper's
-reset and by ``reference_justified`` with the kernel's justified one) and
+``freezing_loop`` (reported by ``reference_freezing``, the paper's
+freezing and reset), ``justified_loop`` (reported by
+``reference_justified``, the justified reset without freezing) and
 ``basic_loop`` (reported by ``reference_basic``) are plain per-pass loops
-over every vertex of a level, the freezing one with event callbacks for
-the tests that check the freeze discipline.  ``reference_verify`` is the
+over every vertex of a level, the first two with event callbacks for the
+tests that check the freeze discipline and the justified reset.
+``reference_verify`` is the
 per-vertex solution verifier that walks the successor and winner tuples
 and runs Tarjan over every claimed vertex.  ``reference_first_error`` is
 the per-edge walk that names the error the game constructor raises.
@@ -321,7 +323,8 @@ def reference_reduction(game: pf.ParityGame):
 
 
 class FreezingEvents:
-    """Event callbacks of ``freezing_loop``.
+    """Event callbacks of ``freezing_loop`` and ``justified_loop``; only the
+    first freezes and thaws, only the second walks and sweeps.
 
     Vertex indices refer to the priority-sorted order of
     ``pf.sort_by_priority``.
@@ -349,9 +352,8 @@ class FreezingEvents:
         """The justification walk reaches ``v`` (before resetting it, if it does)."""
 
     def on_sweep(self, priority: int, z, st) -> None:
-        """A level's additions have frozen and reset the lower levels; ``z``
-        and ``st`` are the loop's live z bytes and strategy slots, to be read
-        only."""
+        """A level's additions have reset the lower levels; ``z`` and ``st``
+        are the loop's live z bytes and strategy slots, to be read only."""
 
 
 @dataclass
@@ -371,29 +373,16 @@ class LoopOutcome:
     stats: LoopStats
 
 
-def freezing_loop(game, hooks, stats, *, justified=False):
-    """Freezing DFI on a priority-sorted game, one plain loop per pass.
+def freezing_loop(game, hooks, stats):
+    """Freezing DFI on a priority-sorted game, one plain loop per pass, with
+    the paper's reset.
 
     Every pass evaluates every unfrozen non-Z vertex of its level, and every
-    freeze and thaw walks all lower vertices.  Without ``justified`` it runs
-    the paper's reset, which clears every unfrozen lower distraction; the
-    production engine must reproduce its winners.  With ``justified`` it
-    runs the production rule, and the engine must reproduce its winners,
-    strategies and pass, addition, reset and freeze counts: an evaluation
-    keeps a strategy slot that still wins, and after the freeze, a level's
-    additions reset only the unfrozen lower distractions whose
-    justification reaches them.  The walk goes backward from the additions
-    through the unfrozen lower vertices won by the level's player,
-    following every predecessor its opponent owns and each one its player
-    owns whose slot is the vertex walked from.  Returns the z bytes and the
-    strategy slots.
+    freeze, reset and thaw walks all lower vertices.  The production kernel
+    must reproduce its winners.  Returns the z bytes and the strategy slots.
     """
     n = game.n
     succ = game.successors
-    pred = [[] for _ in range(n)]
-    for v in range(n):
-        for u in succ[v]:
-            pred[u].append(v)
     par = [p & 1 for p in game.priority]
     own = list(map(int, game.owner))
     d = game.max_priority
@@ -418,15 +407,14 @@ def freezing_loop(game, hooks, stats, *, justified=False):
             if hooks:
                 hooks.on_evaluate(v, p)
             ow = own[v]
-            choice = st[v] if justified else -1
-            if choice < 0 or (par[choice] ^ z[choice]) != ow:
-                choice = -1
-                for u in succ[v]:
-                    if (par[u] ^ z[u]) == ow:
-                        choice = u
-                        break
+            res = 1 - ow
+            choice = -1
+            for u in succ[v]:
+                if (par[u] ^ z[u]) == ow:
+                    res = ow
+                    choice = u
+                    break
             st[v] = choice
-            res = ow if choice >= 0 else 1 - ow
             if res != alpha:
                 adds.append(v)
                 if hooks:
@@ -446,32 +434,11 @@ def freezing_loop(game, hooks, stats, *, justified=False):
                     stats.freezes += 1
                     if hooks:
                         hooks.on_freeze(w, p, opp)
-                elif z[w] and not justified:
+                elif z[w]:
                     z[w] = 0
                     stats.reset_vertices += 1
                     if hooks:
                         hooks.on_reset(w, p)
-            if justified:
-                seen = set()
-                todo = list(adds)
-                while todo:
-                    x = todo.pop()
-                    for u in pred[x]:
-                        if u >= lo or u in seen or f[u] or (par[u] ^ z[u]) != alpha:
-                            continue
-                        if own[u] == alpha and st[u] != x:
-                            continue
-                        seen.add(u)
-                        todo.append(u)
-                        if hooks:
-                            hooks.on_walk(u, p)
-                        if z[u]:
-                            z[u] = 0
-                            stats.reset_vertices += 1
-                            if hooks:
-                                hooks.on_reset(u, p)
-            if hooks:
-                hooks.on_sweep(p, z, st)
             li = 0
         else:
             fp = p + 1
@@ -484,6 +451,91 @@ def freezing_loop(game, hooks, stats, *, justified=False):
     return z, st
 
 
+def justified_loop(game, hooks, stats):
+    """DFI with strategies on a priority-sorted game, one plain loop per
+    pass, with the justified reset and no freezing.
+
+    Every pass evaluates every non-Z vertex of its level.  An evaluation
+    keeps a strategy slot that still wins, and a level's additions reset
+    only the lower distractions whose justification reaches them.  The walk
+    goes backward from the additions through the lower vertices won by the
+    level's player, following every predecessor its opponent owns and each
+    one its player owns whose slot is the vertex walked from.  The
+    production kernel's strategy mode must reproduce its winners,
+    strategies and pass, addition, reset and reset-vertex counts.  Returns
+    the z bytes and the strategy slots.
+    """
+    n = game.n
+    succ = game.successors
+    pred = [[] for _ in range(n)]
+    for v in range(n):
+        for u in succ[v]:
+            pred[u].append(v)
+    par = [p & 1 for p in game.priority]
+    own = list(map(int, game.owner))
+    z = bytearray(n)
+    st = array("i", [-1]) * n
+    stats.state_bytes = n + st.itemsize * n
+    levels = game.levels
+    li = 0
+    while li < len(levels):
+        stats.passes += 1
+        p, lo, hi = levels[li]
+        alpha = p & 1
+        if hooks:
+            hooks.on_pass(p)
+        adds = []
+        for v in range(lo, hi):
+            if z[v]:
+                continue
+            stats.evaluations += 1
+            if hooks:
+                hooks.on_evaluate(v, p)
+            ow = own[v]
+            choice = st[v]
+            if choice < 0 or (par[choice] ^ z[choice]) != ow:
+                choice = -1
+                for u in succ[v]:
+                    if (par[u] ^ z[u]) == ow:
+                        choice = u
+                        break
+            st[v] = choice
+            res = ow if choice >= 0 else 1 - ow
+            if res != alpha:
+                adds.append(v)
+                if hooks:
+                    hooks.on_add(v, p)
+        if adds:
+            for v in adds:
+                z[v] = 1
+            stats.additions += len(adds)
+            stats.resets += 1
+            seen = set()
+            todo = list(adds)
+            while todo:
+                x = todo.pop()
+                for u in pred[x]:
+                    if u >= lo or u in seen or (par[u] ^ z[u]) != alpha:
+                        continue
+                    if own[u] == alpha and st[u] != x:
+                        continue
+                    seen.add(u)
+                    todo.append(u)
+                    if hooks:
+                        hooks.on_walk(u, p)
+                    if z[u]:
+                        z[u] = 0
+                        stats.reset_vertices += 1
+                        if hooks:
+                            hooks.on_reset(u, p)
+            if hooks:
+                hooks.on_sweep(p, z, st)
+            li = 0
+        else:
+            li += 1
+    return z, st
+
+
 def forward_map(to_parent) -> list[int]:
     """The inverse of a ``to_parent`` map: each input vertex's sorted index."""
     forward = [0] * len(to_parent)
@@ -492,10 +544,10 @@ def forward_map(to_parent) -> list[int]:
     return forward
 
 
-def _freezing_outcome(game, hooks, justified) -> LoopOutcome:
+def _strategy_outcome(game, loop, hooks) -> LoopOutcome:
     sorted_game, to_parent = pf.sort_by_priority(game)
     stats = LoopStats()
-    z, st = freezing_loop(sorted_game, hooks, stats, justified=justified)
+    z, st = loop(sorted_game, hooks, stats)
     par = [p & 1 for p in sorted_game.priority]
     own = list(map(int, sorted_game.owner))
     fwd, bwd = forward_map(to_parent), to_parent.tolist()
@@ -509,15 +561,15 @@ def _freezing_outcome(game, hooks, justified) -> LoopOutcome:
 
 
 def reference_freezing(game: pf.ParityGame, hooks: FreezingEvents | None = None) -> LoopOutcome:
-    """``freezing_loop`` on ``game`` with the paper's reset, reported in the
-    input's vertex order."""
-    return _freezing_outcome(game, hooks, False)
+    """``freezing_loop`` on ``game``, the paper's freezing and reset,
+    reported in the input's vertex order."""
+    return _strategy_outcome(game, freezing_loop, hooks)
 
 
 def reference_justified(game: pf.ParityGame, hooks: FreezingEvents | None = None) -> LoopOutcome:
-    """``freezing_loop`` on ``game`` with the justified reset, reported in
-    the input's vertex order; the production kernel's freezing mode."""
-    return _freezing_outcome(game, hooks, True)
+    """``justified_loop`` on ``game``, reported in the input's vertex order;
+    the production kernel's strategy mode (``mode="freezing"``)."""
+    return _strategy_outcome(game, justified_loop, hooks)
 
 
 def basic_loop(game, stats):

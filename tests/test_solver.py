@@ -292,31 +292,18 @@ def _leveled_game(seed: int, levels: int) -> pf.ParityGame:
     return pf.ParityGame(priority, owner, successors)
 
 
-@settings(max_examples=12, deadline=None)
-@given(st.integers(0, 10**9), st.integers(64, 300))
-def test_engines_bit_identical_wide_layout(seed, levels):
-    # more than 63 levels: the 16-bit flags word and its numpy helpers
-    game = _leveled_game(seed, levels)
-    out = pf.solve_detailed(game)
-    assert len(pf.sort_by_priority(game)[0].levels) == levels
-    assert out.stats.state_bytes == game.n * 6
-    assert _run_record(out) == _run_record(reference_justified(game))
-
-
-@pytest.mark.parametrize("levels, word_bytes", [(63, 1), (64, 2)])
-def test_flag_layout_boundary(levels, word_bytes):
-    for seed in range(8):
+def test_many_levels_one_flag_byte():
+    # the flags are one byte per vertex at every level count.  Both modes
+    # run at 63 and 64 levels, strategy mode also at 64-300; basic mode's
+    # full reset makes the pass count of most seeds grow too fast past that
+    rng = pf.SplitMix64(300)
+    cases = [(seed, levels, list(_REFERENCE)) for levels in (63, 64) for seed in range(8)]
+    cases += [(seed, 64 + rng.below(237), ["freezing"]) for seed in range(8, 20)]
+    for seed, levels, modes in cases:
         game = _leveled_game(seed, levels)
-        for out in _check_modes(game):
-            assert out.stats.state_bytes == game.n * (word_bytes + 4)
-
-
-def test_engines_bit_identical_uint32_layout(monkeypatch):
-    monkeypatch.setattr(solver_module, "_flag_layout", lambda levels: ("I", 31))
-    for seed in range(6):
-        game = seeded_game(seed, min_n=200, max_n=600, max_d=8, self_loop=0.1 * (seed & 1))
-        for out in _check_modes(game):
-            assert out.stats.state_bytes == game.n * 8
+        assert len(pf.sort_by_priority(game)[0].levels) == levels
+        for mode in modes:
+            assert _check_mode(game, mode).stats.state_bytes == game.n * 5
 
 
 @pytest.mark.parametrize("mode, state_bytes", [("freezing", 5), ("basic", 5)])
@@ -377,15 +364,13 @@ def test_freeze_discipline_and_epoch_monotonicity(seed):
 
 
 class JustificationWatch(Recorder):
-    """Also checks the justified reset: the walk reaches no frozen vertex
-    and no vertex at or above the sweeping level, the loop's z bytes equal
-    the mirror, and after every sweep each lower distraction still in Z
-    keeps a valid justification (its slot's target, or every successor,
-    won by its winner)."""
+    """Also checks the justified reset: the walk reaches no vertex at or
+    above the resetting level, the loop's z bytes equal the mirror, and after
+    every reset each lower distraction still in Z keeps a valid
+    justification (its slot's target, or every successor, won by its
+    winner)."""
 
     def on_walk(self, v, p):
-        if self.f[v] is not None:
-            self.violations.append(("walked-frozen", v, p))
         if not self.game.priority[v] < p:
             self.violations.append(("walked-not-below", v, p))
 
