@@ -10,15 +10,22 @@ The checks read the game's arrays (its CSR, owner bits and priorities) and
 the solution's, ``win`` and ``choice`` (each vertex's winner and strategy
 target, -1 for none); they build no tuple view of either.  The local
 checks (escape edges, missing strategies, strategies that are not a
-region-internal edge) are whole-array comparisons over the edges.  A
-strategy self-loop is its vertex's only checked edge, so it is a cyclic
-component on its own and is checked on the spot.  The rest of the checked
-graph, both players' edges at once, since no edge of it crosses from one
-region into the other, is then trimmed: every vertex with no remaining
-in-edge or no remaining out-edge is dropped, round after round, over the
-graph's forward and reverse CSR.  Trimming keeps every cycle: each vertex
-of a cycle keeps the cycle's edges into and out of it for as long as the
-other vertices of the cycle stay, so none of them can be the first to go.
+region-internal edge) are whole-array comparisons over the edges.  The
+checked graph, both players' edges at once, since no edge of it crosses
+from one region into the other, is then trimmed: every vertex with no
+remaining in-edge or no remaining out-edge other than a self-loop is
+dropped, round after round, over the graph's forward and reverse CSR.
+Trimming keeps every cycle of two or more vertices: each vertex of such a
+cycle keeps the cycle's edges into and out of it for as long as the other
+vertices of the cycle stay, so none of them can be the first to go.  A
+dropped vertex therefore lies on no such cycle, and its strongly connected
+component is the vertex alone.  If it has a self-loop, whichever player
+owns it, that loop is its component's only cycle, so it is checked on the
+spot.  The trim leaves self-loops out of its degrees for that reason:
+counting them would keep every opponent vertex whose loop stays in the
+region, and the peel would meet each one as a component of its own.  A
+vertex that the trim keeps keeps its self-loop, because the peel may drop
+the rest of its component and leave the loop as the vertex's last cycle.
 The cycle condition is checked on the survivors by peeling: SCC-decompose,
 test the maximum priority of every cyclic component, drop the
 maximum-priority vertices, repeat.
@@ -185,17 +192,14 @@ def _witness_cycle(comp: list[int], adj: Sequence[list[int]], anchor: int) -> tu
 def _local_checks(
     game: ParityGame, sol: Solution
 ) -> tuple[list[list[Violation]], np.ndarray, np.ndarray]:
-    """Each player's local faults and self-loop witnesses, and the
-    (sources, targets) of the rest of the checked graph.
+    """Each player's local faults, and the (sources, targets) of the
+    checked graph.
 
     The local faults (escape edges, missing strategies, strategies that
     are not a region-internal edge) come by vertex and then by stored edge
-    order.  A strategy self-loop is a cyclic component on its own, since it
-    is its vertex's only checked edge, so it is checked here and left out
-    of the graph; the witnesses of the losing ones follow the faults, by
-    vertex.  The graph holds the opponent's region-internal edges and the
-    claimant's other strategy edges that stay in the region; its edges keep
-    the CSR order, so its sources ascend.
+    order.  The graph holds the opponent's region-internal edges and the
+    claimant's strategy edges that stay in the region, self-loops of both
+    included; its edges keep the CSR order, so its sources ascend.
     """
     n = game.n
     win, choice = sol.win, sol.choice
@@ -208,8 +212,7 @@ def _local_checks(
     moves = targets == np.repeat(choice, deg)
     moves &= claimed
     moves &= inside
-    loops = moves & (targets == src)
-    keep = (inside & ~claimed) | (moves & ~loops)
+    keep = (inside & ~claimed) | moves
     escapes = np.flatnonzero(~(claimed | inside))
     stays = np.zeros(n, dtype=bool)
     stays[src[moves]] = True
@@ -227,23 +230,23 @@ def _local_checks(
             v = int(src[e])
             fault = EscapeEdge(v, int(targets[e]))
         found[int(win[v])].append(fault)
-    looped = src[loops]
-    for v, p in zip(looped.tolist(), game._priority[looped].tolist()):
-        player = int(win[v])
-        if p & 1 != player:
-            found[player].append(LosingCycleWitness((v,), p))
     return found, src[keep], targets[keep]
 
 
 def _trim(n: int, sources: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """The vertices left after dropping, round by round, every vertex with
-    no remaining in-edge or out-edge; ``sources`` must ascend.
+    no remaining in-edge or out-edge other than a self-loop; ``sources``
+    must ascend.
 
-    Each round visits only the edges of the vertices it drops and counts
-    their endpoints' losses down with ``np.bincount``.
+    Self-loops are left out of the degrees.  Each round visits only the
+    edges of the vertices it drops and counts their endpoints' losses down
+    in place, so a round costs its frontier, not ``n``.
     """
-    outdeg = np.bincount(sources, minlength=n).astype(np.int32)
-    indeg = np.bincount(targets, minlength=n).astype(np.int32)
+    step = sources != targets
+    sources, targets = sources[step], targets[step]
+    # int64 degrees: np.subtract.at has a fast path for them, not for int32
+    outdeg = np.bincount(sources, minlength=n).astype(np.int64, copy=False)
+    indeg = np.bincount(targets, minlength=n).astype(np.int64, copy=False)
     out_ptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(outdeg, out=out_ptr[1:])
     in_ptr = np.zeros(n + 1, dtype=np.int64)
@@ -261,8 +264,8 @@ def _trim(n: int, sources: np.ndarray, targets: np.ndarray) -> np.ndarray:
         alive[dropped] = False
         succ = targets[_positions(out_ptr, dropped)[0]]
         pred = preds[_positions(in_ptr, dropped)[0]]
-        indeg -= np.bincount(succ, minlength=n)
-        outdeg -= np.bincount(pred, minlength=n)
+        np.subtract.at(indeg, succ, 1)
+        np.subtract.at(outdeg, pred, 1)
         touched = np.concatenate((succ, pred))
         touched = touched[alive[touched]]
         touched = touched[(indeg[touched] == 0) | (outdeg[touched] == 0)]
@@ -275,9 +278,11 @@ def _trim(n: int, sources: np.ndarray, targets: np.ndarray) -> np.ndarray:
 
 def _survivor_graph(
     n: int, sources: np.ndarray, targets: np.ndarray
-) -> tuple[np.ndarray, list[list[int]]]:
+) -> tuple[np.ndarray, list[list[int]], np.ndarray]:
     """The trimmed checked graph: its vertices, ascending, and their
-    successor lists in stored order, both over indices into that vertex list."""
+    successor lists in stored order, both over indices into that vertex
+    list; and the dropped vertices with a self-loop, ascending, each a
+    cyclic component of its own."""
     kept = _trim(n, sources, targets)
     alive = np.zeros(n, dtype=bool)
     alive[kept] = True
@@ -288,22 +293,26 @@ def _survivor_graph(
     np.cumsum(np.bincount(index[sources[edges]], minlength=len(kept)), out=cut[1:])
     flat = index[targets[edges]].tolist()
     bounds = cut.tolist()
-    return kept, [flat[a:b] for a, b in zip(bounds, bounds[1:])]
+    looped = sources[sources == targets]
+    return kept, [flat[a:b] for a, b in zip(bounds, bounds[1:])], looped[~alive[looped]]
 
 
 def verify(game: ParityGame, sol: Solution) -> VerificationReport:
     """Check a claimed solution; all problems come back as report entries.
 
     Faults come by player, Even first: the local faults by vertex and then
-    by stored edge order, then the losing cycles.
+    by stored edge order, then the losing self-loops of the vertices that
+    the trim dropped, by vertex, then the losing cycles that peeling finds.
     """
     if sol.n != game.n:
         raise ValueError("solution does not match the game")
     if not game.n:
         return VerificationReport(True, ())
     found, sources, targets = _local_checks(game, sol)
-    kept, adj = _survivor_graph(game.n, sources, targets)
+    kept, adj, lone = _survivor_graph(game.n, sources, targets)
     del sources, targets
+    lone_priority = game._priority[lone]
+    lone_side = sol.win[lone]
     vertices = kept.tolist()
     priority = game._priority[kept].tolist()
     side = sol.win[kept]
@@ -314,6 +323,9 @@ def verify(game: ParityGame, sol: Solution) -> VerificationReport:
     violations: list[Violation] = []
     for player in (Player.EVEN, Player.ODD):
         violations.extend(found[player])
+        hostile = (lone_side == player) & (lone_priority & 1 != int(player))
+        for v, p in zip(lone[hostile].tolist(), lone_priority[hostile].tolist()):
+            violations.append(LosingCycleWitness((v,), p))
         work: list[list[int]] = [np.flatnonzero(side == player).tolist()]
         while work:
             subset = work.pop()

@@ -11,7 +11,8 @@ over every vertex of a level, the first two with event callbacks for the
 tests that check the freeze discipline and the justified reset.
 ``reference_verify`` is the
 per-vertex solution verifier that walks the successor and winner tuples
-and runs Tarjan over every claimed vertex.  ``reference_first_error`` is
+and runs Tarjan over every claimed vertex, and ``reference_trim`` the
+verifier's trim as a count-down queue.  ``reference_first_error`` is
 the per-edge walk that names the error the game constructor raises.
 ``reference_winner_controlled_cycles`` is the cycle reduction by SCC
 decomposition, on ``sccs`` (iterative Tarjan, here since no production
@@ -769,6 +770,31 @@ def reference_verify(game: ParityGame, sol: Solution) -> VerificationReport:
                 if rest:
                     work.append(rest)
     return VerificationReport(not violations, tuple(violations))
+
+
+def reference_trim(n: int, sources: list[int], targets: list[int]) -> list[int]:
+    """The vertices left, ascending, when every vertex with no in-edge or no
+    out-edge other than a self-loop is dropped; a queue drops them one at a
+    time and counts their neighbours' degrees down."""
+    succ: list[list[int]] = [[] for _ in range(n)]
+    pred: list[list[int]] = [[] for _ in range(n)]
+    for a, b in zip(sources, targets):
+        if a != b:
+            succ[a].append(b)
+            pred[b].append(a)
+    outdeg = [len(s) for s in succ]
+    indeg = [len(p) for p in pred]
+    alive = [bool(outdeg[v] and indeg[v]) for v in range(n)]
+    queue = deque(v for v in range(n) if not alive[v])
+    while queue:
+        v = queue.popleft()
+        for neighbours, deg in ((succ[v], indeg), (pred[v], outdeg)):
+            for u in neighbours:
+                deg[u] -= 1
+                if alive[u] and not deg[u]:
+                    alive[u] = False
+                    queue.append(u)
+    return [v for v in range(n) if alive[v]]
 
 
 def _by_id(game: ParityGame) -> np.ndarray:

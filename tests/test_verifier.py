@@ -1,10 +1,11 @@
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import parityfix as pf
 from parityfix import LosingCycleWitness, Player, verifier
 
-from _oracles import reference_verify
+from _oracles import reference_trim, reference_verify
 from conftest import package_imports, seeded_game
 
 
@@ -196,24 +197,31 @@ def assert_witness_is_losing_cycle(game: pf.ParityGame, sol: pf.Solution, w: Los
     assert w.max_priority & 1 != int(player)
 
 
+def assert_matches_reference(game: pf.ParityGame, claim: pf.Solution, name: str = "") -> None:
+    """``pf.verify`` agrees with ``reference_verify``: the same verdict, the
+    same local faults in the same order, and the same losing cycles."""
+    report, expected = pf.verify(game, claim), reference_verify(game, claim)
+    assert report.ok == expected.ok, name
+    local = [v for v in report.violations if not isinstance(v, LosingCycleWitness)]
+    assert local == [v for v in expected.violations if not isinstance(v, LosingCycleWitness)], name
+    witnesses = [v for v in report.violations if isinstance(v, LosingCycleWitness)]
+    for w in witnesses:
+        assert_witness_is_losing_cycle(game, claim, w)
+    # the trim drops no vertex of a longer cycle, and the loops it drops are
+    # checked on the spot, so the losing cycles are the same
+    assert sorted(witnesses, key=repr) == sorted(
+        (v for v in expected.violations if isinstance(v, LosingCycleWitness)), key=repr
+    ), name
+
+
 @settings(max_examples=60, deadline=None)
-@given(st.integers(0, 10**9), st.sampled_from([0.0, 0.1]))
+@given(st.integers(0, 10**9), st.sampled_from([0.0, 0.1, 0.4]))
 def test_matches_reference_verifier(seed, self_loop):
     game = seeded_game(seed, max_n=3000, self_loop=self_loop)
     sol = pf.solve(game)
     cases = [("correct", sol), *corruptions(game, sol, pf.SplitMix64(seed ^ 0xC0FFEE))]
     for name, claim in cases:
-        report, expected = pf.verify(game, claim), reference_verify(game, claim)
-        assert report.ok == expected.ok, name
-        local = [v for v in report.violations if not isinstance(v, LosingCycleWitness)]
-        assert local == [v for v in expected.violations if not isinstance(v, LosingCycleWitness)], name
-        witnesses = [v for v in report.violations if isinstance(v, LosingCycleWitness)]
-        for w in witnesses:
-            assert_witness_is_losing_cycle(game, claim, w)
-        # trimming drops no vertex of a cycle, so peeling meets the same components
-        assert sorted(witnesses, key=repr) == sorted(
-            (v for v in expected.violations if isinstance(v, LosingCycleWitness)), key=repr
-        ), name
+        assert_matches_reference(game, claim, name)
 
 
 @pytest.mark.parametrize("target", ["n", -1, 2**70])
@@ -233,6 +241,65 @@ def test_strategy_self_loops_match_reference():
     report = pf.verify(game, claim)
     assert report.violations == (LosingCycleWitness((0,), 1),)
     assert report == reference_verify(game, claim)
+
+
+@pytest.mark.parametrize(
+    "priority, owner, successors, strategy, expected",
+    [
+        # Odd's hostile loop at 0 is its only cycle: the trim drops 0, and
+        # the loop is checked on the spot
+        ([1, 0], [1, 0], [[0, 1], [1]], (None, 1), (LosingCycleWitness((0,), 1),)),
+        # 0 is also on the 2-cycle 0 -> 1 -> 0, whose maximum 2 is Even's:
+        # the trim keeps 0 with its loop, and the peel finds the loop once
+        # it has dropped 1
+        ([1, 2], [1, 0], [[0, 1], [0]], (None, 0), (LosingCycleWitness((0,), 1),)),
+        # Odd's loop at 0 has Even's priority 2, so Even's claim stands
+        ([2, 0], [1, 0], [[0, 1], [1]], (None, 1), ()),
+    ],
+)
+def test_opponent_self_loops_match_reference(priority, owner, successors, strategy, expected):
+    # Even claims both vertices
+    game = pf.ParityGame(priority, owner, successors)
+    claim = pf.Solution((Player.EVEN, Player.EVEN), strategy)
+    assert pf.verify(game, claim).violations == expected
+    assert_matches_reference(game, claim)
+
+
+def _checked_edges(n: int, seed: int, degree: float, loops: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct random edges over ``n`` vertices, about ``degree`` per
+    vertex, with ascending sources, as the checked graph has them."""
+    if not n:
+        return np.zeros(0, np.int32), np.zeros(0, np.int32)
+    rng = np.random.default_rng(seed)
+    keys = rng.permutation(np.unique(rng.integers(0, n * n, int(degree * n))))
+    sources, targets = np.divmod(keys, n)
+    if not loops:
+        step = sources != targets
+        sources, targets = sources[step], targets[step]
+    order = np.argsort(sources, kind="stable")
+    return sources[order].astype(np.int32), targets[order].astype(np.int32)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 300), st.integers(0, 2**32 - 1), st.floats(0, 3), st.booleans())
+@example(0, 0, 0.0, True)  # the empty graph
+@example(5, 0, 0.0, True)  # vertices and no edges
+def test_trim_matches_reference(n, seed, degree, loops):
+    sources, targets = _checked_edges(n, seed, degree, loops)
+    kept = verifier._trim(n, sources, targets)
+    assert kept.tolist() == reference_trim(n, sources.tolist(), targets.tolist())
+
+
+@pytest.mark.parametrize("loops", [False, True])
+def test_trim_drops_a_long_path(loops):
+    # the trim takes a vertex off each end per round, 1,000 rounds in all;
+    # a self-loop on every vertex keeps none of them
+    n = 2000
+    pairs = [(v, u) for v in range(n) for u in ((v, v + 1) if loops else (v + 1,)) if u < n]
+    sources = np.array([a for a, _ in pairs], dtype=np.int32)
+    targets = np.array([b for _, b in pairs], dtype=np.int32)
+    kept = verifier._trim(n, sources, targets)
+    assert kept.tolist() == reference_trim(n, sources.tolist(), targets.tolist()) == []
 
 
 def test_verifier_imports_only_the_game_module():
