@@ -2,9 +2,10 @@
 
 Exit codes: 0 solved/ok, 1 verification failure, 2 I/O, decode or parse
 error, 3 invalid flags, 4 solver deadline passed (``solve --timeout``,
-which bounds the solver only, not reading or preprocessing).  All file
-I/O speaks the PGSolver formats; sorting and index remapping stay
-internal, users only ever see their own vertex ids.
+which bounds the solver only, not reading or preprocessing).  ``main``
+prints the one ``error:`` line of a usage, I/O, decode or parse error.
+All file I/O speaks the PGSolver formats; sorting and index remapping
+stay internal, users only ever see their own vertex ids.
 """
 
 from __future__ import annotations
@@ -50,6 +51,14 @@ def _read_game(path: str) -> ParityGame:
     return parse_pgsolver(Path(path).read_bytes())
 
 
+def _write_output(path: str | None, text: str) -> None:
+    """Write ``text`` to the file ``path``, or to stdout without one."""
+    if path:
+        Path(path).write_text(text)
+    else:
+        sys.stdout.write(text)
+
+
 def _run_solver(
     residual: ParityGame,
     solver: str,
@@ -89,11 +98,7 @@ def _cmd_solve(args) -> int:
         raise _UsageError(f"--verify needs strategies; solver {args.solver!r} emits regions only")
     if args.timeout is not None and not args.timeout >= 0:
         raise _UsageError("--timeout must be a nonnegative number of seconds")
-    try:
-        game = _read_game(args.game)
-    except (OSError, UnicodeDecodeError, ParseError, ValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    game = _read_game(args.game)
     try:
         solution, stats = _solve_game(
             game,
@@ -112,15 +117,7 @@ def _cmd_solve(args) -> int:
             for violation in report.violations:
                 print(violation.describe(game), file=sys.stderr)
             return EXIT_VERIFICATION
-    text = write_solution(game, solution)
-    if args.output:
-        try:
-            Path(args.output).write_text(text)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_IO
-    else:
-        sys.stdout.write(text)
+    _write_output(args.output, write_solution(game, solution))
     if args.stats and stats is not None:
         _print_stats(stats, timed_out=False)
     return EXIT_OK
@@ -132,12 +129,8 @@ def _print_stats(stats: SolverStats, *, timed_out: bool) -> None:
 
 
 def _cmd_verify(args) -> int:
-    try:
-        game = _read_game(args.game)
-        solution = parse_solution(Path(args.solution).read_bytes(), game)
-    except (OSError, UnicodeDecodeError, ParseError, ValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    game = _read_game(args.game)
+    solution = parse_solution(Path(args.solution).read_bytes(), game)
     report = verify(game, solution)
     if report.ok:
         return EXIT_OK
@@ -158,25 +151,12 @@ def _cmd_gen(args) -> int:
         )
     except InvalidParamsError as exc:
         raise _UsageError(str(exc))
-    text = write_pgsolver(random_game(params))
-    if args.output:
-        try:
-            Path(args.output).write_text(text)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_IO
-    else:
-        sys.stdout.write(text)
+    _write_output(args.output, write_pgsolver(random_game(params)))
     return EXIT_OK
 
 
 def _cmd_stats(args) -> int:
-    try:
-        game = _read_game(args.game)
-    except (OSError, UnicodeDecodeError, ParseError, ValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    st = game_stats(game)
+    st = game_stats(_read_game(args.game))
     print(f"n={st.n} edges={st.edges} d={st.max_priority}")
     print(f"distinct_priorities={st.distinct_priorities} avg_outdegree={st.avg_outdegree:.3f}")
     return EXIT_OK
@@ -237,8 +217,7 @@ def _cmd_bench(args) -> int:
         raise _UsageError("--timeout must be a nonnegative number of seconds")
     directory = Path(args.dir)
     if not directory.is_dir():
-        print(f"error: {directory} is not a directory", file=sys.stderr)
-        return EXIT_IO
+        raise NotADirectoryError(f"{directory} is not a directory")
     solvers = [s.strip() for s in args.solvers.split(",") if s.strip()]
     for s in solvers:
         if s not in SOLVERS:
@@ -311,6 +290,9 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except (OSError, UnicodeDecodeError, ParseError, ValidationError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
 
 
 def run() -> None:

@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass, field
 from typing import FrozenSet
 
-from .game import ParityGame, Player, SolveTimeoutError, _deadline
+from .game import ParityGame, Player, _check_deadline, _deadline
 
 VertexSet = FrozenSet[int]
 
@@ -68,8 +68,8 @@ def bfl_win0(
     def body() -> VertexSet:
         nonlocal evals
         evals += 1
-        if deadline is not None and evals % 256 == 0 and time.perf_counter() > deadline:
-            raise SolveTimeoutError("fixpoint evaluation timed out")
+        if evals % 256 == 0:
+            _check_deadline(deadline)
         if trace is not None:
             trace.body_evaluations = evals
         good = set()

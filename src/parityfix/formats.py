@@ -37,6 +37,11 @@ text to the line scanner, which decodes it and raises or builds the same
 game through the constructor.  So every error, with its line, column and
 message, and every ``UnicodeDecodeError`` comes from the line scanner.
 
+Both formats share one line-record walk, ``_records``: it skips blank
+lines, reads a header only on the first line that is not blank, and checks
+that each record ends with ``;`` and nothing after it.  The game's line
+scanner and ``parse_solution`` read only each record's fields.
+
 Both writers read the game's arrays and write ``_CHUNK`` vertices at a
 time, in ascending original id order, so their transient arrays stay
 small.  A chunk's numbers go, in output order, through ``_digits``, which
@@ -49,6 +54,7 @@ copies in the UTF-8 bytes of the labels, for the labelled vertices only.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -56,7 +62,6 @@ from .game import (
     DanglingEdgeError,
     DuplicateEdgeError,
     ParityGame,
-    Player,
     Solution,
     _positions,
     _repeated_edge,
@@ -140,16 +145,21 @@ class _LineScanner:
         self.skip_ws()
         return self.text[self.pos] if self.pos < len(self.text) else ""
 
-    def take_int(self, what: str) -> int:
+    def take(self, pattern: re.Pattern, what: str) -> re.Match:
+        """The match of ``pattern`` after any blanks, or the error ``expected <what>``."""
         self.skip_ws()
-        m = _INT.match(self.text, self.pos)
+        m = pattern.match(self.text, self.pos)
         if not m:
             self.fail(f"expected {what}")
+        self.pos = m.end()
+        return m
+
+    def take_int(self, what: str) -> int:
+        m = self.take(_INT, what)
         value = int(m.group())
         self.number_at = m.start()
         if value > _INT_MAX:
             self.fail_number(f"{what} {value} is out of range (above {_INT_MAX})")
-        self.pos = m.end()
         return value
 
     def take_char(self, ch: str) -> None:
@@ -159,45 +169,41 @@ class _LineScanner:
         self.pos += 1
 
     def take_label(self) -> str:
-        self.skip_ws()
-        m = _LABEL.match(self.text, self.pos)
-        if not m:
-            self.fail("expected quoted label")
-        self.pos = m.end()
-        return m.group(1)
+        return self.take(_LABEL, "quoted label").group(1)
 
     def take_word(self) -> str:
-        self.skip_ws()
-        m = _WORD.match(self.text, self.pos)
-        if not m:
-            self.fail("expected keyword")
-        self.pos = m.end()
-        return m.group()
+        return self.take(_WORD, "keyword").group()
 
 
-def _header(sc: _LineScanner, keyword: str, *, first: bool) -> bool:
-    """Read a ``<keyword> <max-id>;`` header if the line starts with a word.
+def _records(text: str | bytes, keyword: str) -> Iterator[_LineScanner]:
+    """A scanner on each record line of ``text``, the line walk of both formats.
 
-    Returns whether it did.  A header is only allowed ``first``, before any
-    other header or record; any other word is an unexpected keyword.
+    Blank lines are skipped.  A ``<keyword> <max-id>;`` header is read only
+    on the first line that is not blank; any other word is an unexpected
+    keyword.  The caller reads a record's fields; when it asks for the next
+    record, the one before must end with ``;`` and nothing after it.
     """
-    if not sc.peek().isalpha():
-        return False
-    word_pos = sc.pos
-    if sc.take_word() != keyword or not first:
-        sc.pos = word_pos
-        sc.fail("unexpected keyword")
-    sc.take_int("max vertex id")
-    sc.take_char(";")
-    if not sc.at_end():
-        sc.fail("trailing characters after header")
-    return True
-
-
-def _lines(text: str | bytes) -> list[str]:
     if isinstance(text, bytes):
         text = text.decode("utf-8")
-    return [line[:-1] if line.endswith("\r") else line for line in text.split("\n")]
+    first = True
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        sc = _LineScanner(line[:-1] if line.endswith("\r") else line, lineno)
+        if sc.at_end():
+            continue
+        if sc.peek().isalpha():
+            word_pos = sc.pos
+            if sc.take_word() != keyword or not first:
+                sc.pos = word_pos
+                sc.fail("unexpected keyword")
+            sc.take_int("max vertex id")
+            what = "header"
+        else:
+            yield sc
+            what = "record"
+        sc.take_char(";")
+        if not sc.at_end():
+            sc.fail(f"trailing characters after {what}")
+        first = False
 
 
 def parse_pgsolver(text: str | bytes) -> ParityGame:
@@ -356,17 +362,10 @@ def _scan_pgsolver(text: str) -> ParityGame:
     or repeated target never reaches the constructor."""
     records: list[tuple[int, int, int, list[int], str | None]] = []
     index_of: dict[int, int] = {}
-    header_seen = False
-    for lineno, raw in enumerate(_lines(text), start=1):
-        sc = _LineScanner(raw, lineno)
-        if sc.at_end():
-            continue
-        if _header(sc, "parity", first=not (header_seen or records)):
-            header_seen = True
-            continue
+    for sc in _records(text, "parity"):
         vid = sc.take_int("vertex id")
         if vid in index_of:
-            raise DuplicateVertexIdError(lineno, sc.number_at + 1, vid)
+            raise DuplicateVertexIdError(sc.lineno, sc.number_at + 1, vid)
         priority = sc.take_int("priority")
         owner = sc.take_int("owner bit")
         if owner not in (0, 1):
@@ -378,16 +377,10 @@ def _scan_pgsolver(text: str) -> ParityGame:
         label: str | None = None
         if sc.peek() == '"':
             label = sc.take_label()
-        sc.take_char(";")
-        if not sc.at_end():
-            sc.fail("trailing characters after record")
         index_of[vid] = len(records)
         records.append((vid, priority, owner, succ_ids, label))
 
-    priorities = [r[1] for r in records]
-    owners = [r[2] for r in records]
-    ids = [r[0] for r in records]
-    labels = [r[4] for r in records]
+    ids, priorities, owners, _, labels = zip(*records) if records else ((),) * 5
     successors: list[list[int]] = []
     for vid, _, _, succ_ids, _ in records:
         row: list[int] = []
@@ -526,37 +519,23 @@ def parse_solution(text: str | bytes, game: ParityGame) -> Solution:
     Every vertex of the game must be assigned exactly once.
     """
     index_of = {oid: v for v, oid in enumerate(game._ids.tolist())}
-    winner: list[Player | None] = [None] * game.n
-    strategy: list[int | None] = [None] * game.n
-    header_seen = False
-    records = 0
-    for lineno, raw in enumerate(_lines(text), start=1):
-        sc = _LineScanner(raw, lineno)
-        if sc.at_end():
-            continue
-        if _header(sc, "paritysol", first=not (header_seen or records)):
-            header_seen = True
-            continue
+    win = [-1] * game.n
+    choice = [-1] * game.n
+    for sc in _records(text, "paritysol"):
         vid = sc.take_int("vertex id")
         if vid not in index_of:
             sc.fail_number(f"unknown vertex id {vid}")
         v = index_of[vid]
-        if winner[v] is not None:
+        if win[v] >= 0:
             sc.fail_number(f"vertex id {vid} assigned twice")
-        bit = sc.take_int("winner bit")
-        if bit not in (0, 1):
+        win[v] = sc.take_int("winner bit")
+        if win[v] > 1:
             sc.fail_number("winner bit must be 0 or 1")
-        winner[v] = Player(bit)
         if "0" <= sc.peek() <= "9":  # an ASCII digit; peek gives "" at the end
             sid = sc.take_int("strategy id")
             if sid not in index_of:
                 sc.fail_number(f"unknown strategy target id {sid}")
-            strategy[v] = index_of[sid]
-        sc.take_char(";")
-        if not sc.at_end():
-            sc.fail("trailing characters after record")
-        records += 1
-    for v, w in enumerate(winner):
-        if w is None:
-            raise ParseError(0, 0, f"vertex id {game.original_id[v]} has no assignment")
-    return Solution(winner, strategy)  # type: ignore[arg-type]
+            choice[v] = index_of[sid]
+    if -1 in win:
+        raise ParseError(0, 0, f"vertex id {game._ids[win.index(-1)]} has no assignment")
+    return Solution(np.array(win, dtype=np.uint8), np.array(choice, dtype=np.int64))

@@ -10,6 +10,7 @@ the caller's namespace.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import cached_property
@@ -66,6 +67,12 @@ def _deadline(timeout_s: float | None, start: float) -> float | None:
     return start + timeout_s
 
 
+def _check_deadline(deadline: float | None) -> None:
+    """Raise ``SolveTimeoutError`` once a ``_deadline`` reading has passed."""
+    if deadline is not None and time.perf_counter() > deadline:
+        raise SolveTimeoutError("solver deadline exceeded")
+
+
 class SinkVertexError(ValidationError):
     def __init__(self, vertex: int):
         self.vertex = vertex
@@ -95,6 +102,39 @@ def _positions(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.nda
     pos = np.arange(bounds[-1], dtype=np.int64)
     pos += np.repeat(starts - bounds[:-1], counts)
     return pos, bounds
+
+
+def _first_hits(good: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """The index of each row's first true entry of ``good``, -1 for a row
+    with none; row ``i`` is ``good[bounds[i]:bounds[i + 1]]``."""
+    hits = np.flatnonzero(good)
+    at = np.searchsorted(hits, bounds)
+    has = at[:-1] < at[1:]
+    first = np.full(len(bounds) - 1, -1, dtype=np.int64)
+    first[has] = hits[at[:-1][has]]
+    return first
+
+
+def _group_by_target(
+    n: int, sources: np.ndarray, targets: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(indptr, sources) of the edges ``sources[i] -> targets[i]``, grouped
+    by target, each target's sources ascending.
+
+    The int64 keys ``target * n + source`` are sorted in place and the
+    sources read back as ``key % n``.  That is the order of a stable argsort
+    of the targets, which numpy runs as a slower timsort; and ``np.sort``,
+    unlike ``np.argsort`` and ``np.unique``, runs code that the reader's
+    duplicate check has already paged in.  As n < 2**31, keys stay < 2**62.
+    """
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(targets, minlength=n), out=indptr[1:])
+    keys = targets.astype(np.int64)
+    keys *= n
+    keys += sources
+    keys.sort()
+    keys %= n
+    return indptr, keys.astype(np.int32)
 
 
 def _first_repeat(keys: np.ndarray) -> int:
@@ -149,14 +189,15 @@ class ParityGame:
     ``_vertex_array``, the one conversion of per-vertex input, which the
     ``Solution`` constructor shares.  It refuses, with ``ValueError``,
     lengths that differ, an owner that is not 0 or 1 (a ``Player`` is one),
-    a priority or original id that is not an integer in ``0..2**63-1``, and
-    an id that repeats.  It raises the ``SinkVertexError`` or
-    ``DanglingEdgeError`` (a target that is not an integer in ``0..n-1``)
-    of the first such vertex, and then the ``DuplicateEdgeError`` of the
-    first edge, in stored order, that repeats an earlier edge of its vertex.
-    So every game is valid: each vertex has a successor and each edge is
-    stored once.  The reader builds games from checked arrays
-    (``_from_csr``), and the sort and the reduction through ``_subgame``.
+    a priority or original id that is not an integer in ``0..2**63-1``, an
+    id that repeats, and a label that is neither a ``str`` nor ``None``.
+    It raises the ``SinkVertexError`` or ``DanglingEdgeError`` (a target
+    that is not an integer in ``0..n-1``) of the first such vertex, and then
+    the ``DuplicateEdgeError`` of the first edge, in stored order, that
+    repeats an earlier edge of its vertex.  So every game is valid: each
+    vertex has a successor and each edge is stored once.  The reader builds
+    games from checked arrays (``_from_csr``), and the sort and the
+    reduction through ``_subgame``.
     """
 
     def __init__(
@@ -180,6 +221,9 @@ class ParityGame:
             if (v := _first_repeat(ids)) >= 0:
                 first = np.flatnonzero(ids == ids[v])[0]
                 raise ValueError(f"original_id of vertex {v} is {ids[v]}, the id of vertex {first}")
+        for v, x in enumerate(() if label is None else label):
+            if not (x is None or isinstance(x, str)):
+                raise ValueError(f"label of vertex {v} is {x!r}, not a str or None")
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.fromiter(map(len, successors), dtype=np.int64, count=n), out=indptr[1:])
         flat = list(chain.from_iterable(successors))
@@ -290,23 +334,10 @@ class ParityGame:
     @cached_property
     def _reverse_csr(self) -> tuple[np.ndarray, np.ndarray]:
         """(indptr, edge sources) of the reverse edges, grouped by target,
-        each target's sources ascending.
-
-        The edges are sorted, in place, by the int64 key ``target * n +
-        source``, and the sources read back as ``key % n``: the order of a
-        stable argsort of the targets, which numpy runs as a slower timsort.
-        Games have n < 2**31, so the keys stay below n**2 < 2**62.
-        """
-        n = self.n
+        each target's sources ascending."""
         indptr, targets, _ = self._csr
-        rev_indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(targets, minlength=n), out=rev_indptr[1:])
-        keys = targets.astype(np.int64)
-        keys *= n
-        keys += np.repeat(np.arange(n, dtype=np.int32), np.diff(indptr))
-        keys.sort()
-        keys %= n
-        return rev_indptr, keys.astype(np.int32)
+        sources = np.repeat(np.arange(self.n, dtype=np.int32), np.diff(indptr))
+        return _group_by_target(self.n, sources, targets)
 
     @cached_property
     def levels(self) -> tuple[tuple[int, int, int], ...]:

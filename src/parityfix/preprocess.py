@@ -70,7 +70,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .game import ParityGame, Solution, _positions, _subgame
+from .game import ParityGame, Solution, _first_hits, _positions, _subgame
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,17 +115,6 @@ def _distinct(vs: np.ndarray) -> np.ndarray:
     keep = np.ones(len(vs), dtype=bool)
     np.not_equal(vs[1:], vs[:-1], out=keep[1:])
     return vs[keep]
-
-
-def _first_hits(good: np.ndarray, bounds: np.ndarray) -> np.ndarray:
-    """The index of each row's first true entry of ``good``, -1 for a row
-    with none; row ``i`` is ``good[bounds[i]:bounds[i + 1]]``."""
-    hits = np.flatnonzero(good)
-    at = np.searchsorted(hits, bounds)
-    has = at[:-1] < at[1:]
-    first = np.full(len(bounds) - 1, -1, dtype=np.int64)
-    first[has] = hits[at[:-1][has]]
-    return first
 
 
 def _first_inside(game: ParityGame, inside: np.ndarray, rows: np.ndarray) -> np.ndarray:

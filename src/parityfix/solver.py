@@ -83,7 +83,9 @@ from .game import (
     ParityGame,
     Solution,
     SolveTimeoutError,
+    _check_deadline,
     _deadline,
+    _first_hits,
     _positions,
     sort_by_priority,
 )
@@ -144,11 +146,6 @@ class DfiOutcome:
     stats: SolverStats
 
 
-def _check_deadline(deadline: float | None) -> None:
-    if deadline is not None and time.perf_counter() > deadline:
-        raise SolveTimeoutError("solver deadline exceeded")
-
-
 # ---------------------------------------------------------------- kernel
 
 
@@ -162,19 +159,9 @@ def _eval_indices(indptr, targets, edge_owner, owner_bits, flags, strat, gidx):
     """
     pos, bounds = _positions(indptr, gidx)
     tg = targets[pos]
-    good = (flags[tg] >> 1) == edge_owner[pos]
-    hits = np.flatnonzero(good)
-    fh = np.searchsorted(hits, bounds[:-1], side="left")
-    eh = np.empty_like(fh)
-    if len(eh):
-        eh[:-1] = fh[1:]
-        eh[-1] = len(hits)
-    has = fh < eh
-    if len(hits):
-        first = tg[hits[np.minimum(fh, len(hits) - 1)]]
-        stratvals = np.where(has, first, np.int32(-1))
-    else:
-        stratvals = np.full(len(gidx), -1, dtype=np.int32)
+    first = _first_hits((flags[tg] >> 1) == edge_owner[pos], bounds)
+    has = first >= 0
+    stratvals = np.where(has, tg[first], np.int32(-1))
     ob = owner_bits[gidx]
     held = strat[gidx]
     stratvals = np.where((held >= 0) & ((flags[held] >> 1) == ob), held, stratvals)

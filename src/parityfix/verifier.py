@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .game import ParityGame, Player, Solution, _positions
+from .game import ParityGame, Player, Solution, _group_by_target, _positions
 
 
 @dataclass(frozen=True)
@@ -246,17 +246,10 @@ def _trim(n: int, sources: np.ndarray, targets: np.ndarray) -> np.ndarray:
     sources, targets = sources[step], targets[step]
     # int64 degrees: np.subtract.at has a fast path for them, not for int32
     outdeg = np.bincount(sources, minlength=n).astype(np.int64, copy=False)
-    indeg = np.bincount(targets, minlength=n).astype(np.int64, copy=False)
     out_ptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(outdeg, out=out_ptr[1:])
-    in_ptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(indeg, out=in_ptr[1:])
-    # the sources grouped by target; np.sort, unlike np.argsort and np.unique
-    # here, runs code that the reader's duplicate check has already paged in
-    keys = targets.astype(np.int64) * n + sources
-    keys.sort()
-    preds = (keys % n).astype(np.int32)
-    del keys
+    in_ptr, preds = _group_by_target(n, sources, targets)
+    indeg = np.diff(in_ptr)
     alive = np.ones(n, dtype=bool)
     slot = np.empty(n, dtype=np.intp)
     dropped = np.flatnonzero((outdeg == 0) | (indeg == 0))

@@ -12,7 +12,7 @@ from __future__ import annotations
 import time
 from typing import Generator
 
-from .game import ParityGame, Player, Solution, SolveTimeoutError, _deadline
+from .game import ParityGame, Player, Solution, _check_deadline, _deadline
 from .graphs import attract
 
 
@@ -82,8 +82,7 @@ def solve_zielonka(game: ParityGame, *, timeout_s: float | None = None) -> Solut
     sent: _Result | None = None
     result: _Result = (set(), set(), {}, {})
     while stack:
-        if deadline is not None and time.perf_counter() > deadline:
-            raise SolveTimeoutError("solver deadline exceeded")
+        _check_deadline(deadline)
         try:
             if sent is None:
                 request = next(stack[-1])

@@ -120,6 +120,22 @@ class TestSolveCommand:
             assert "--in-place" in captured.err
 
 
+def test_failed_write(g1_path, tmp_path, capsys):
+    # a missing output directory is an I/O error of the write: exit 2, one
+    # error line and nothing on stdout
+    missing = tmp_path / "missing"
+    for argv in (
+        ["solve", str(g1_path), "-o", str(missing / "x.sol")],
+        ["gen", "--n", "3", "--d", "2", "--seed", "1", "-o", str(missing / "x.pg")],
+    ):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+    assert not missing.exists()
+
+
 def test_utf8_files_under_an_ascii_locale(tmp_path):
     # the formats are UTF-8 whatever the locale; with the C locale and no
     # UTF-8 mode, Python's text files are ASCII

@@ -478,6 +478,9 @@ class TestSolutionFormat:
         sol = pf.solve(game)
         text = pf.write_solution(game, sol)
         assert pf.parse_solution(text, game) == sol
+        # the header after blank lines, and \r\n line ends
+        for other in ("\n \t\n" + text, text.replace("\n", "\r\n")):
+            assert pf.parse_solution(other, game) == sol
 
     def test_parse_solution_requires_totality(self, g1):
         with pytest.raises(pf.ParseError):
@@ -501,12 +504,32 @@ class TestSolutionFormat:
             pf.parse_solution("paritysol 1; junk\n0 0 1;\n1 0;\n", g1)
         assert (err.value.line, err.value.column) == (1, 14)
         assert "trailing characters after header" in str(err.value)
+        for text, line, column, what in (
+            ("\r\n\nparitysol 1; ;\r\n0 0 1;\r\n1 0;\r\n", 3, 14, "header"),
+            ("paritysol 1;\n0 0 1; junk\n1 0;\n", 2, 8, "record"),
+            ("0 0 1;\r\n1 0;;\r\n", 2, 5, "record"),
+        ):
+            with pytest.raises(pf.ParseError) as err:
+                pf.parse_solution(text, g1)
+            want = (line, column, f"trailing characters after {what}")
+            assert (err.value.line, err.value.column, err.value.message) == want
 
     def test_parse_solution_rejects_late_header(self, g1):
         with pytest.raises(pf.ParseError) as err:
             pf.parse_solution("0 0 1;\nparitysol 1;\n1 0;\n", g1)
         assert (err.value.line, err.value.column) == (2, 1)
         assert "unexpected keyword" in str(err.value)
+        # a second header, another format's keyword, and a word after blank lines
+        for text, line in (
+            ("paritysol 1;\nparitysol 1;\n0 0 1;\n1 0;\n", 2),
+            ("parity 1;\n0 0 1;\n1 0;\n", 1),
+            ("0 0 1;\n\r\nsol 1;\n1 0;\n", 3),
+        ):
+            with pytest.raises(pf.ParseError) as err:
+                pf.parse_solution(text, g1)
+            assert (err.value.line, err.value.column, err.value.message) == (
+                line, 1, "unexpected keyword"
+            )
 
 
 # (parser, text, line, column, message): an error about a number's value

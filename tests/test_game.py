@@ -75,6 +75,13 @@ class TestConstructor:
             with pytest.raises(ValueError, match=message):
                 pf.ParityGame([0, 1], [0, 1], [[1], [0]], original_id=[3, value])
 
+    @pytest.mark.parametrize("label", [5, b"loop", ["a"]])
+    def test_label_must_be_a_str_or_none(self, label):
+        # an int or bytes label was accepted and then failed in write_pgsolver
+        message = rf"^label of vertex 1 is {re.escape(repr(label))}, not a str or None$"
+        with pytest.raises(ValueError, match=message):
+            pf.ParityGame([0, 0], [0, 0], [[1], [0]], label=["ok", label])
+
     def test_int64_max_is_stored_as_int64(self):
         top = 2**63 - 1
         game = pf.ParityGame([top, 1], [0, 1], [[1], [0]], original_id=[top, 3])

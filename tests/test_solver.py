@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import parityfix as pf
 from parityfix import Player
-from parityfix import solver as solver_module
+from parityfix import game as game_module, solver as solver_module
 
 from _oracles import (
     FreezingEvents,
@@ -318,8 +318,9 @@ def test_flag_layout_boundary(levels, old_word_bytes):
 
 @pytest.mark.parametrize("mode, state_bytes", [("freezing", 5), ("basic", 5)])
 def test_timeout_carries_partial_stats(monkeypatch, mode, state_bytes):
-    # a clock that ticks once per reading: the start, one per pass, so the
-    # deadline passes at the check before pass k + 1, and the stop
+    # a clock that ticks once per reading: the start, one per pass (the
+    # deadline check in ``game``), so the deadline passes at the check before
+    # pass k + 1, and the stop
     ticks = iter(range(10**6))
     clock = types.SimpleNamespace(perf_counter=lambda: float(next(ticks)))
     game = pf.random_game(
@@ -328,6 +329,7 @@ def test_timeout_carries_partial_stats(monkeypatch, mode, state_bytes):
     )
     k = 25
     monkeypatch.setattr(solver_module, "time", clock)
+    monkeypatch.setattr(game_module, "time", clock)
     with pytest.raises(pf.SolveTimeoutError) as info:
         pf.solve_detailed(game, pf.SolverOptions(mode=mode, timeout_s=k + 0.5))
     stats = info.value.stats
